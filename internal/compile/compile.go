@@ -19,8 +19,7 @@ package compile
 
 import (
 	"fmt"
-	"math"
-	"strings"
+	"sync"
 
 	"repro/internal/blocks"
 	"repro/internal/interp"
@@ -68,7 +67,11 @@ func ring(r *blocks.Ring) (Fn, string, bool) {
 		return nil, reason, false
 	}
 	return func(args []value.Value) (value.Value, error) {
-		v, err := ex(&env{args: args})
+		e := envPool.Get().(*env)
+		e.args = args
+		v, err := ex(e)
+		e.release()
+		envPool.Put(e)
 		if v == nil && err == nil {
 			// Mirror Process.Result(): a detached evaluation that
 			// produced no value reports Nothing.
@@ -80,8 +83,9 @@ func ring(r *blocks.Ring) (Fn, string, bool) {
 
 // SeqRing compiles a shipped reporter ring once and returns a factory of
 // sequential kernels. Each factory call mints an independent caller that
-// hoists the per-call environment allocation out of the call and reuses
-// it, which is sound as long as that caller's calls never overlap or nest:
+// owns one environment and reuses it for every call, skipping the pool
+// round trip Ring pays, which is sound as long as that caller's calls
+// never overlap or nest:
 // the compiled subset cannot let the environment escape a call — rings
 // flowing as values are refused ("ring-value"), so no closure survives the
 // return — and cannot re-enter the kernel (custom-block calls are outside
@@ -95,11 +99,11 @@ func SeqRing(r *blocks.Ring) (func() Fn, bool) {
 		return nil, false
 	}
 	return func() Fn {
-		e := &env{}
+		e := newEnv()
 		return func(args []value.Value) (value.Value, error) {
 			e.args = args
 			v, err := ex(e)
-			e.args = nil
+			e.release()
 			if v == nil && err == nil {
 				// Mirror Process.Result(), as ring does.
 				v = value.TheNothing
@@ -127,7 +131,7 @@ func SeqMapperRing(r *blocks.Ring) (func() MapFn, bool) {
 		return nil, false
 	}
 	if b, ok := r.Body.(*blocks.Block); ok && b.Op == "reportNewList" && len(b.Inputs) == 2 {
-		// One scope across both inputs, exactly as compNewList would
+		// One scope across both inputs, exactly as the generic apply would
 		// compile them: the implicit-slot cursor advances in order.
 		sc := &scope{params: r.Params, fail: new(string)}
 		ka, ok := compileNode(b.Input(0), sc)
@@ -139,16 +143,16 @@ func SeqMapperRing(r *blocks.Ring) (func() MapFn, bool) {
 			return nil, false
 		}
 		return func() MapFn {
-			e := &env{}
+			e := newEnv()
 			return func(args []value.Value) (string, value.Value, error) {
 				e.args = args
 				av, err := ka(e)
 				if err != nil {
-					e.args = nil
+					e.release()
 					return "", nil, err
 				}
 				bv, err := kb(e)
-				e.args = nil
+				e.release()
 				if err != nil {
 					return "", nil, err
 				}
@@ -206,6 +210,48 @@ func ringBody(r *blocks.Ring) (expr, string, bool) {
 type env struct {
 	parent *env
 	args   []value.Value
+	// stack is the operand stack apply collects evaluated inputs on. The
+	// env of an inner ring body continues its caller's stack, so one
+	// buffer serves a whole kernel call.
+	stack []value.Value
+}
+
+// rootEnv is the env of one kernel call, allocated together with the
+// initial buffer of its operand stack: expressions that never hold more
+// than len(buf) evaluated inputs at once push without allocating.
+type rootEnv struct {
+	env
+	buf [4]value.Value
+}
+
+func newEnv() *env {
+	r := &rootEnv{}
+	r.stack = r.buf[:0]
+	return &r.env
+}
+
+// envPool recycles root envs across the calls of concurrently shared
+// kernels (Ring). Reuse is sound for the reason SeqRing gives: no env
+// outlives the call that took it.
+var envPool = sync.Pool{New: func() any { return newEnv() }}
+
+// release drops every value a finished call left in a reused env, so a
+// pooled kernel pins nothing between calls.
+func (e *env) release() {
+	e.args = nil
+	clear(e.stack[:cap(e.stack)])
+}
+
+// innerEnv opens the scope of an inner ring body taking n arguments. The
+// argument slots are reserved on the operand stack above every value the
+// caller holds, so the scope itself is the only allocation.
+func innerEnv(e *env, n int) *env {
+	st := e.stack
+	base := len(st)
+	for k := 0; k < n; k++ {
+		st = append(st, nil)
+	}
+	return &env{parent: e, args: st[base:], stack: st}
 }
 
 // expr is one compiled expression.
@@ -334,516 +380,101 @@ func compileVarGet(name string, sc *scope) (expr, bool) {
 	return func(*env) (value.Value, error) { return nil, err }, true
 }
 
-// fixedArity lists the compilable fixed-arity opcodes. A block whose input
-// count disagrees stays on the interpreter (where it fails the same way it
-// always has); reportJoinWords and reportNewList are variadic and accepted
-// at any arity.
-var fixedArity = map[string]int{
-	"reportSum": 2, "reportDifference": 2, "reportProduct": 2,
-	"reportQuotient": 2, "reportModulus": 2, "reportRound": 1,
-	"reportMonadic":  2,
-	"reportLessThan": 2, "reportEquals": 2, "reportGreaterThan": 2,
-	"reportAnd": 2, "reportOr": 2, "reportNot": 1, "reportIfElse": 3,
-	"reportLetter": 2, "reportStringSize": 1, "reportTextSplit": 2,
-	"reportNumbers": 2, "reportListItem": 2, "reportListLength": 1,
-	"reportListContainsItem": 2,
-}
-
 func compileBlock(b *blocks.Block, sc *scope) (expr, bool) {
 	switch b.Op {
 	case "reportCombine":
 		return compileCombine(b, sc)
 	case "reportMap", "reportKeep":
 		return compileMapKeep(b, sc)
-	case "reportJoinWords", "reportNewList":
-		// variadic: fall through to input compilation
-	default:
-		want, known := fixedArity[b.Op]
-		if !known {
-			return sc.refuse("unsupported-op")
-		}
-		if want != len(b.Inputs) {
-			return sc.refuse("arity")
-		}
+	}
+	i, ok := interp.PureOpIndex(b.Op)
+	if !ok || interp.PureOps[i].Cmd {
+		return sc.refuse("unsupported-op")
+	}
+	if !interp.PureOps[i].Accepts(len(b.Inputs)) {
+		// A block whose input count disagrees stays on the interpreter,
+		// where it fails the same way it always has.
+		return sc.refuse("arity")
 	}
 	ins := make([]expr, len(b.Inputs))
-	for i := range b.Inputs {
-		ex, ok := compileNode(b.Input(i), sc)
+	for k := range b.Inputs {
+		ex, ok := compileNode(b.Input(k), sc)
 		if !ok {
 			return nil, false
 		}
-		ins[i] = ex
+		ins[k] = ex
 	}
-	op := b.Op
-	switch op {
-	case "reportSum":
-		return arith2(op, ins, func(a, b float64) float64 { return a + b }), true
-	case "reportDifference":
-		return arith2(op, ins, func(a, b float64) float64 { return a - b }), true
-	case "reportProduct":
-		return arith2(op, ins, func(a, b float64) float64 { return a * b }), true
-	case "reportQuotient":
-		return compQuotient(op, ins), true
-	case "reportModulus":
-		return compModulus(op, ins), true
-	case "reportRound":
-		return compRound(op, ins), true
-	case "reportMonadic":
-		return compMonadic(op, ins), true
-	case "reportLessThan":
-		return compLess(op, ins, false), true
-	case "reportGreaterThan":
-		return compLess(op, ins, true), true
-	case "reportEquals":
-		return compEquals(ins), true
-	case "reportAnd":
-		return compLogic2(op, ins, func(a, b bool) bool { return a && b }), true
-	case "reportOr":
-		return compLogic2(op, ins, func(a, b bool) bool { return a || b }), true
-	case "reportNot":
-		return compNot(op, ins), true
-	case "reportIfElse":
-		return compIfElse(op, ins), true
-	case "reportJoinWords":
-		return compJoin(op, ins), true
-	case "reportLetter":
-		return compLetter(op, ins), true
-	case "reportStringSize":
-		return compStringSize(ins), true
-	case "reportTextSplit":
-		return compTextSplit(op, ins), true
-	case "reportNewList":
-		return compNewList(ins), true
-	case "reportNumbers":
-		return compNumbers(op, ins), true
-	case "reportListItem":
-		return compListItem(op, ins), true
-	case "reportListLength":
-		return compListLength(op, ins), true
-	case "reportListContainsItem":
-		return compListContains(op, ins), true
-	}
-	return sc.refuse("unsupported-op")
+	return apply(&interp.PureOps[i], ins), true
 }
 
-// eval2 evaluates two input expressions in order — the interpreter's
-// strict left-to-right slot evaluation, with child errors propagating
-// unwrapped (only the applying block's own failures carry its opcode).
-func eval2(a, b expr, e *env) (value.Value, value.Value, error) {
-	av, err := a(e)
-	if err != nil {
-		return nil, nil, err
-	}
-	bv, err := b(e)
-	if err != nil {
-		return nil, nil, err
-	}
-	return av, bv, nil
-}
-
-func arith2(op string, ins []expr, f func(a, b float64) float64) expr {
-	a, b := ins[0], ins[1]
-	return func(e *env) (value.Value, error) {
-		av, bv, err := eval2(a, b, e)
-		if err != nil {
-			return nil, err
-		}
-		x, err := value.ToNumber(av)
-		if err != nil {
-			return nil, wrapOp(op, err)
-		}
-		y, err := value.ToNumber(bv)
-		if err != nil {
-			return nil, wrapOp(op, err)
-		}
-		return value.Num(f(float64(x), float64(y))), nil
-	}
-}
-
-func compQuotient(op string, ins []expr) expr {
-	a, b := ins[0], ins[1]
-	return func(e *env) (value.Value, error) {
-		av, bv, err := eval2(a, b, e)
-		if err != nil {
-			return nil, err
-		}
-		x, err := value.ToNumber(av)
-		if err != nil {
-			return nil, wrapOp(op, err)
-		}
-		y, err := value.ToNumber(bv)
-		if err != nil {
-			return nil, wrapOp(op, err)
-		}
-		if y == 0 {
-			return nil, wrapOp(op, fmt.Errorf("division by zero"))
-		}
-		return value.Num(float64(x / y)), nil
-	}
-}
-
-func compModulus(op string, ins []expr) expr {
-	a, b := ins[0], ins[1]
-	return func(e *env) (value.Value, error) {
-		av, bv, err := eval2(a, b, e)
-		if err != nil {
-			return nil, err
-		}
-		x, err := value.ToNumber(av)
-		if err != nil {
-			return nil, wrapOp(op, err)
-		}
-		y, err := value.ToNumber(bv)
-		if err != nil {
-			return nil, wrapOp(op, err)
-		}
-		if y == 0 {
-			return nil, wrapOp(op, fmt.Errorf("modulus by zero"))
-		}
-		// Snap!'s mod matches the sign of the divisor.
-		m := math.Mod(float64(x), float64(y))
-		if m != 0 && (m < 0) != (float64(y) < 0) {
-			m += float64(y)
-		}
-		return value.Num(m), nil
-	}
-}
-
-func compRound(op string, ins []expr) expr {
-	a := ins[0]
-	return func(e *env) (value.Value, error) {
-		av, err := a(e)
-		if err != nil {
-			return nil, err
-		}
-		x, err := value.ToNumber(av)
-		if err != nil {
-			return nil, wrapOp(op, err)
-		}
-		return value.Num(math.Round(float64(x))), nil
-	}
-}
-
-func compMonadic(op string, ins []expr) expr {
-	fnEx, a := ins[0], ins[1]
-	return func(e *env) (value.Value, error) {
-		fv, av, err := eval2(fnEx, a, e)
-		if err != nil {
-			return nil, err
-		}
-		fn := strings.ToLower(fv.String())
-		n, err := value.ToNumber(av)
-		if err != nil {
-			return nil, wrapOp(op, err)
-		}
-		x := float64(n)
-		var r float64
-		switch fn {
-		case "sqrt":
-			if x < 0 {
-				return nil, wrapOp(op, fmt.Errorf("square root of a negative number"))
-			}
-			r = math.Sqrt(x)
-		case "abs":
-			r = math.Abs(x)
-		case "floor":
-			r = math.Floor(x)
-		case "ceiling":
-			r = math.Ceil(x)
-		case "sin":
-			r = math.Sin(x * math.Pi / 180)
-		case "cos":
-			r = math.Cos(x * math.Pi / 180)
-		case "tan":
-			r = math.Tan(x * math.Pi / 180)
-		case "asin":
-			r = math.Asin(x) * 180 / math.Pi
-		case "acos":
-			r = math.Acos(x) * 180 / math.Pi
-		case "atan":
-			r = math.Atan(x) * 180 / math.Pi
-		case "ln":
-			r = math.Log(x)
-		case "log":
-			r = math.Log10(x)
-		case "e^":
-			r = math.Exp(x)
-		case "10^":
-			r = math.Pow(10, x)
-		default:
-			return nil, wrapOp(op, fmt.Errorf("unknown function %q", fn))
-		}
-		return value.Num(r), nil
-	}
-}
-
-func compLess(op string, ins []expr, greater bool) expr {
-	a, b := ins[0], ins[1]
-	return func(e *env) (value.Value, error) {
-		av, bv, err := eval2(a, b, e)
-		if err != nil {
-			return nil, err
-		}
-		var lt bool
-		if greater {
-			lt, err = value.Greater(av, bv)
-		} else {
-			lt, err = value.Less(av, bv)
-		}
-		if err != nil {
-			return nil, wrapOp(op, err)
-		}
-		return value.BoolVal(lt), nil
-	}
-}
-
-func compEquals(ins []expr) expr {
-	a, b := ins[0], ins[1]
-	return func(e *env) (value.Value, error) {
-		av, bv, err := eval2(a, b, e)
-		if err != nil {
-			return nil, err
-		}
-		return value.BoolVal(value.Equal(av, bv)), nil
-	}
-}
-
-func compLogic2(op string, ins []expr, f func(a, b bool) bool) expr {
-	a, b := ins[0], ins[1]
-	return func(e *env) (value.Value, error) {
-		// Both slots evaluate before the block applies — reportAnd and
-		// reportOr are eager, not short-circuiting, exactly like the
-		// interpreter's strict input evaluation.
-		av, bv, err := eval2(a, b, e)
-		if err != nil {
-			return nil, err
-		}
-		x, err := value.ToBool(av)
-		if err != nil {
-			return nil, wrapOp(op, err)
-		}
-		y, err := value.ToBool(bv)
-		if err != nil {
-			return nil, wrapOp(op, err)
-		}
-		return value.BoolVal(f(bool(x), bool(y))), nil
-	}
-}
-
-func compNot(op string, ins []expr) expr {
-	a := ins[0]
-	return func(e *env) (value.Value, error) {
-		av, err := a(e)
-		if err != nil {
-			return nil, err
-		}
-		x, err := value.ToBool(av)
-		if err != nil {
-			return nil, wrapOp(op, err)
-		}
-		return value.BoolVal(!bool(x)), nil
-	}
-}
-
-func compIfElse(op string, ins []expr) expr {
-	cond, then, els := ins[0], ins[1], ins[2]
-	return func(e *env) (value.Value, error) {
-		cv, err := cond(e)
-		if err != nil {
-			return nil, err
-		}
-		tv, err := then(e)
-		if err != nil {
-			return nil, err
-		}
-		ev, err := els(e)
-		if err != nil {
-			return nil, err
-		}
-		c, err := value.ToBool(cv)
-		if err != nil {
-			return nil, wrapOp(op, err)
-		}
-		if c {
-			return tv, nil
-		}
-		return ev, nil
-	}
-}
-
-func compJoin(op string, ins []expr) expr {
-	return func(e *env) (value.Value, error) {
-		parts := make([]string, len(ins))
-		total := 0
-		for i, in := range ins {
-			v, err := in(e)
+// apply is the compiled form of every pure primitive: evaluate the inputs
+// left to right — the interpreter's strict slot order, with child errors
+// propagating unwrapped — then apply the shared table entry, whose own
+// failure carries the block's opcode. The evaluated inputs are handed to
+// the entry on the environment's operand stack, above every value an
+// enclosing application holds, so the call allocates no argument slice.
+// One- and two-input blocks, nearly every block in practice, hold their
+// inputs in locals until the call.
+func apply(op *interp.PureOp, ins []expr) expr {
+	name, fn := op.Name, op.Fn
+	switch len(ins) {
+	case 1:
+		a := ins[0]
+		return func(e *env) (value.Value, error) {
+			av, err := a(e)
 			if err != nil {
 				return nil, err
 			}
-			parts[i] = v.String()
-			total += len(parts[i])
-		}
-		if err := checkTextLen(total); err != nil {
-			return nil, wrapOp(op, err)
-		}
-		var sb strings.Builder
-		sb.Grow(total)
-		for _, s := range parts {
-			sb.WriteString(s)
-		}
-		return value.Text(sb.String()), nil
-	}
-}
-
-func compLetter(op string, ins []expr) expr {
-	a, b := ins[0], ins[1]
-	return func(e *env) (value.Value, error) {
-		av, bv, err := eval2(a, b, e)
-		if err != nil {
-			return nil, err
-		}
-		i, err := value.ToInt(av)
-		if err != nil {
-			return nil, wrapOp(op, err)
-		}
-		s := []rune(bv.String())
-		if i < 1 || i > len(s) {
-			return value.Str(""), nil
-		}
-		return value.Str(string(s[i-1])), nil
-	}
-}
-
-func compStringSize(ins []expr) expr {
-	a := ins[0]
-	return func(e *env) (value.Value, error) {
-		av, err := a(e)
-		if err != nil {
-			return nil, err
-		}
-		return value.NumInt(len([]rune(av.String()))), nil
-	}
-}
-
-func compTextSplit(op string, ins []expr) expr {
-	a, b := ins[0], ins[1]
-	return func(e *env) (value.Value, error) {
-		av, bv, err := eval2(a, b, e)
-		if err != nil {
-			return nil, err
-		}
-		text := av.String()
-		delim := bv.String()
-		var parts []string
-		switch delim {
-		case "whitespace", " ":
-			parts = strings.Fields(text)
-		case "":
-			for _, r := range text {
-				parts = append(parts, string(r))
+			base := len(e.stack)
+			st := append(e.stack, av)
+			v, err := fn(st[base:])
+			if cap(st) != cap(e.stack) {
+				e.stack = st[:base] // keep the grown buffer
 			}
-		case "line":
-			parts = strings.Split(text, "\n")
-		default:
-			parts = strings.Split(text, delim)
+			if err != nil {
+				return nil, wrapOp(name, err)
+			}
+			return v, nil
 		}
-		if err := checkListLen(len(parts)); err != nil {
-			return nil, wrapOp(op, err)
+	case 2:
+		a, b := ins[0], ins[1]
+		return func(e *env) (value.Value, error) {
+			av, err := a(e)
+			if err != nil {
+				return nil, err
+			}
+			bv, err := b(e)
+			if err != nil {
+				return nil, err
+			}
+			base := len(e.stack)
+			st := append(e.stack, av, bv)
+			v, err := fn(st[base:])
+			if cap(st) != cap(e.stack) {
+				e.stack = st[:base] // keep the grown buffer
+			}
+			if err != nil {
+				return nil, wrapOp(name, err)
+			}
+			return v, nil
 		}
-		return value.FromStrings(parts), nil
 	}
-}
-
-func compNewList(ins []expr) expr {
 	return func(e *env) (value.Value, error) {
-		out := value.NewListCap(len(ins))
+		base := len(e.stack)
 		for _, in := range ins {
 			v, err := in(e)
 			if err != nil {
+				e.stack = e.stack[:base]
 				return nil, err
 			}
-			out.Add(v)
+			e.stack = append(e.stack, v)
 		}
-		return out, nil
-	}
-}
-
-func compNumbers(op string, ins []expr) expr {
-	a, b := ins[0], ins[1]
-	return func(e *env) (value.Value, error) {
-		av, bv, err := eval2(a, b, e)
+		v, err := fn(e.stack[base:])
+		e.stack = e.stack[:base]
 		if err != nil {
-			return nil, err
-		}
-		from, err := value.ToNumber(av)
-		if err != nil {
-			return nil, wrapOp(op, err)
-		}
-		to, err := value.ToNumber(bv)
-		if err != nil {
-			return nil, wrapOp(op, err)
-		}
-		step := 1.0
-		if from > to {
-			step = -1
-		}
-		if err := interp.CheckNumbersBounds(float64(from), float64(to)); err != nil {
-			return nil, wrapOp(op, err)
-		}
-		return value.Range(float64(from), float64(to), step), nil
-	}
-}
-
-func compListItem(op string, ins []expr) expr {
-	a, b := ins[0], ins[1]
-	return func(e *env) (value.Value, error) {
-		av, bv, err := eval2(a, b, e)
-		if err != nil {
-			return nil, err
-		}
-		i, err := value.ToInt(av)
-		if err != nil {
-			return nil, wrapOp(op, err)
-		}
-		l, ok := bv.(*value.List)
-		if !ok {
-			return nil, wrapOp(op, fmt.Errorf("expecting a list but getting a %s", bv.Kind()))
-		}
-		v, err := l.Item(i)
-		if err != nil {
-			return nil, wrapOp(op, err)
+			return nil, wrapOp(name, err)
 		}
 		return v, nil
-	}
-}
-
-func compListLength(op string, ins []expr) expr {
-	a := ins[0]
-	return func(e *env) (value.Value, error) {
-		av, err := a(e)
-		if err != nil {
-			return nil, err
-		}
-		l, ok := av.(*value.List)
-		if !ok {
-			return nil, wrapOp(op, fmt.Errorf("expecting a list but getting a %s", av.Kind()))
-		}
-		return value.Number(float64(l.Len())), nil
-	}
-}
-
-func compListContains(op string, ins []expr) expr {
-	a, b := ins[0], ins[1]
-	return func(e *env) (value.Value, error) {
-		av, bv, err := eval2(a, b, e)
-		if err != nil {
-			return nil, err
-		}
-		l, ok := av.(*value.List)
-		if !ok {
-			return nil, wrapOp(op, fmt.Errorf("expecting a list but getting a %s", av.Kind()))
-		}
-		return value.Bool(l.Contains(bv)), nil
 	}
 }
 
@@ -883,26 +514,19 @@ func compileCombine(b *blocks.Block, sc *scope) (expr, bool) {
 		if err != nil {
 			return nil, err
 		}
-		l, ok := lv.(*value.List)
-		if !ok {
-			return nil, wrapOp("reportCombine", fmt.Errorf("expecting a list but getting a %s", lv.Kind()))
+		l, err := interp.AsList(lv)
+		if err != nil {
+			return nil, wrapOp("reportCombine", err)
 		}
 		n, it := columnIter(l)
 		if n == 0 {
 			return value.Number(0), nil
 		}
 		acc := it.at(0)
-		// One allocation for the fold's scope and its two-argument buffer:
-		// both escape through the indirect body call, so fusing them halves
-		// the per-fold allocation count.
-		ienv := &struct {
-			env
-			argbuf [2]value.Value
-		}{env: env{parent: e}}
-		ienv.args = ienv.argbuf[:]
+		ienv := innerEnv(e, 2)
 		for i := 1; i < n; i++ {
-			ienv.argbuf[0], ienv.argbuf[1] = acc, it.at(i)
-			v, err := body(&ienv.env)
+			ienv.args[0], ienv.args[1] = acc, it.at(i)
+			v, err := body(ienv)
 			if err != nil {
 				return nil, err
 			}
@@ -970,9 +594,9 @@ func compileMapKeep(b *blocks.Block, sc *scope) (expr, bool) {
 		if err != nil {
 			return nil, err
 		}
-		l, ok := lv.(*value.List)
-		if !ok {
-			return nil, wrapOp(op, fmt.Errorf("expecting a list but getting a %s", lv.Kind()))
+		l, err := interp.AsList(lv)
+		if err != nil {
+			return nil, wrapOp(op, err)
 		}
 		n, it := columnIter(l)
 		var outItems []value.Value
@@ -981,12 +605,10 @@ func compileMapKeep(b *blocks.Block, sc *scope) (expr, bool) {
 		} else {
 			outItems = make([]value.Value, 0, n)
 		}
-		ienv := &env{parent: e}
-		var argbuf [1]value.Value
+		ienv := innerEnv(e, 1)
 		for i := 0; i < n; i++ {
 			item := it.at(i)
-			argbuf[0] = item
-			ienv.args = argbuf[:]
+			ienv.args[0] = item
 			v, err := body(ienv)
 			if err != nil {
 				return nil, err
@@ -1007,21 +629,4 @@ func compileMapKeep(b *blocks.Block, sc *scope) (expr, bool) {
 		// maps keep the struct-of-arrays backing end to end.
 		return value.AdoptSlice(outItems), nil
 	}, true
-}
-
-// checkListLen and checkTextLen enforce the process-wide value caps with
-// the interpreter's exact wording, so a capped service reports identical
-// errors from both tiers.
-func checkListLen(n int) error {
-	if maxLen, _ := interp.ValueCaps(); maxLen > 0 && n > maxLen {
-		return fmt.Errorf("list of %d elements exceeds the service cap of %d", n, maxLen)
-	}
-	return nil
-}
-
-func checkTextLen(n int) error {
-	if _, maxLen := interp.ValueCaps(); maxLen > 0 && n > maxLen {
-		return fmt.Errorf("text of %d bytes exceeds the service cap of %d", n, maxLen)
-	}
-	return nil
 }

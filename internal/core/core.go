@@ -95,7 +95,7 @@ func primParallelMap(p *interp.Process, ctx *interp.Context) (value.Value, inter
 		if !ok {
 			return nil, interp.Done, fmt.Errorf("parallelMap needs a ringed function, got %s", ctx.Inputs[0].Kind())
 		}
-		list, err := asList(ctx.Inputs[1])
+		list, err := interp.AsList(ctx.Inputs[1])
 		if err != nil {
 			return nil, interp.Done, err
 		}
@@ -145,13 +145,6 @@ func traceLabel(p *interp.Process) string {
 	return ""
 }
 
-func asList(v value.Value) (*value.List, error) {
-	if l, ok := v.(*value.List); ok {
-		return l, nil
-	}
-	return nil, fmt.Errorf("expecting a list but getting a %s", v.Kind())
-}
-
 // --- parallelForEach ---
 
 // feWork is the shared work queue a parallelForEach block's clones draw
@@ -196,7 +189,7 @@ func primParallelForEach(p *interp.Process, ctx *interp.Context) (value.Value, i
 		if p.Machine == nil || p.Actor == nil {
 			return nil, interp.Done, errors.New("parallelForEach needs a sprite and a stage")
 		}
-		list, err := asList(ctx.Inputs[1])
+		list, err := interp.AsList(ctx.Inputs[1])
 		if err != nil {
 			return nil, interp.Done, err
 		}
@@ -257,7 +250,7 @@ func seqForEach(p *interp.Process, ctx *interp.Context, argc int) (value.Value, 
 	} else {
 		st = ctx.Inputs[argc].(*value.Opaque).Payload.(*seqState)
 	}
-	list, err := asList(ctx.Inputs[1])
+	list, err := interp.AsList(ctx.Inputs[1])
 	if err != nil {
 		return nil, interp.Done, err
 	}

@@ -47,7 +47,7 @@ func primParallelKeep(p *interp.Process, ctx *interp.Context) (value.Value, inte
 		if !ok {
 			return nil, interp.Done, fmt.Errorf("parallelKeep needs a ringed predicate, got %s", ctx.Inputs[0].Kind())
 		}
-		list, err := asList(ctx.Inputs[1])
+		list, err := interp.AsList(ctx.Inputs[1])
 		if err != nil {
 			return nil, interp.Done, err
 		}
@@ -66,7 +66,7 @@ func primParallelKeep(p *interp.Process, ctx *interp.Context) (value.Value, inte
 			if err != nil {
 				return nil, interp.Done, err
 			}
-			list, err := asList(ctx.Inputs[1])
+			list, err := interp.AsList(ctx.Inputs[1])
 			if err != nil {
 				return nil, interp.Done, err
 			}
@@ -92,7 +92,7 @@ func primParallelKeep(p *interp.Process, ctx *interp.Context) (value.Value, inte
 func primParallelCombine(p *interp.Process, ctx *interp.Context) (value.Value, interp.Control, error) {
 	const argc = 3
 	if len(ctx.Inputs) < argc+1 {
-		list, err := asList(ctx.Inputs[0])
+		list, err := interp.AsList(ctx.Inputs[0])
 		if err != nil {
 			return nil, interp.Done, err
 		}

@@ -90,7 +90,7 @@ func lowerMapReduce(mapRing, reduceRing *blocks.Ring) vm.MRCall {
 		}
 	}
 	return func(p *interp.Process, lv value.Value) (value.Value, func() (value.Value, bool, error), error) {
-		list, err := asList(lv)
+		list, err := interp.AsList(lv)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -166,7 +166,7 @@ func primMapReduce(p *interp.Process, ctx *interp.Context) (value.Value, interp.
 		if !ok {
 			return nil, interp.Done, fmt.Errorf("mapReduce needs a ringed reduce function, got %s", ctx.Inputs[1].Kind())
 		}
-		list, err := asList(ctx.Inputs[2])
+		list, err := interp.AsList(ctx.Inputs[2])
 		if err != nil {
 			return nil, interp.Done, err
 		}

@@ -120,7 +120,7 @@ func (d *decoder) expr(depth int) blocks.Node {
 		return blocks.Product(d.expr(depth-1), d.expr(depth-1))
 	case 3:
 		// Division: zero denominators arise naturally from literals and
-		// arithmetic, giving both tiers the "division by zero" edge.
+		// arithmetic, giving both tiers the divide-by-zero edge.
 		return blocks.Quotient(d.expr(depth-1), d.expr(depth-1))
 	case 4:
 		return blocks.Modulus(d.expr(depth-1), d.expr(depth-1))

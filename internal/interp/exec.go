@@ -69,12 +69,6 @@ func (p *Process) ClearYield() { p.readyToYield = false }
 // Reify builds the closure value a RingNode evaluates to, capturing f.
 func (p *Process) Reify(r blocks.RingNode, f *Frame) *blocks.Ring { return p.reify(r, f) }
 
-// CheckListLen exposes the process-wide list-size cap check to executors.
-func CheckListLen(n int) error { return checkListLen(n) }
-
-// CheckTextLen exposes the process-wide text-size cap check to executors.
-func CheckTextLen(n int) error { return checkTextLen(n) }
-
 // spliceRoot is the pseudo-context an executor plants under a spliced
 // subtree: when the subtree's value lands in its Inputs the splice is
 // complete. It is to the executor what collector is to detached calls.

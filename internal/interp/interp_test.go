@@ -495,7 +495,7 @@ func TestDuplicateRegistrationPanics(t *testing.T) {
 			t.Error("duplicate registration should panic")
 		}
 	}()
-	RegisterPrimitive("reportSum", primEquals)
+	RegisterPrimitive("reportSum", primRandom)
 }
 
 func TestCallFunctionDetached(t *testing.T) {

@@ -8,134 +8,15 @@ import (
 	"repro/internal/value"
 )
 
-// This file implements the list (red) opcodes and the stock sequential
-// higher-order blocks — map, keep, combine, for-each — that §3.1 builds on
-// before parallelizing them.
+// This file implements the stock sequential higher-order blocks — map,
+// keep, combine, for-each — that §3.1 builds on before parallelizing
+// them. The list (red) reporters and commands live in PureOps.
 
 func init() {
-	RegisterPrimitive("reportNewList", primNewList)
-	RegisterPrimitive("reportNumbers", primNumbers)
-	RegisterPrimitive("reportListItem", primListItem)
-	RegisterPrimitive("reportListLength", primListLength)
-	RegisterPrimitive("reportListContainsItem", primListContains)
-	RegisterPrimitive("doAddToList", primAddToList)
-	RegisterPrimitive("doDeleteFromList", primDeleteFromList)
-	RegisterPrimitive("doInsertInList", primInsertInList)
-	RegisterPrimitive("doReplaceInList", primReplaceInList)
 	RegisterPrimitive("reportMap", primMap)
 	RegisterPrimitive("reportKeep", primKeep)
 	RegisterPrimitive("reportCombine", primCombine)
 	RegisterPrimitive("doForEach", primForEach)
-}
-
-func primNewList(p *Process, ctx *Context) (value.Value, Control, error) {
-	return value.NewList(ctx.Inputs...), Done, nil
-}
-
-func primNumbers(p *Process, ctx *Context) (value.Value, Control, error) {
-	from, err := value.ToNumber(ctx.Inputs[0])
-	if err != nil {
-		return nil, Done, err
-	}
-	to, err := value.ToNumber(ctx.Inputs[1])
-	if err != nil {
-		return nil, Done, err
-	}
-	step := 1.0
-	if from > to {
-		step = -1
-	}
-	if err := CheckNumbersBounds(float64(from), float64(to)); err != nil {
-		return nil, Done, err
-	}
-	return value.Range(float64(from), float64(to), step), Done, nil
-}
-
-func asList(v value.Value) (*value.List, error) {
-	if l, ok := v.(*value.List); ok {
-		return l, nil
-	}
-	return nil, fmt.Errorf("expecting a list but getting a %s", v.Kind())
-}
-
-func primListItem(p *Process, ctx *Context) (value.Value, Control, error) {
-	i, err := value.ToInt(ctx.Inputs[0])
-	if err != nil {
-		return nil, Done, err
-	}
-	l, err := asList(ctx.Inputs[1])
-	if err != nil {
-		return nil, Done, err
-	}
-	v, err := l.Item(i)
-	return v, Done, err
-}
-
-func primListLength(p *Process, ctx *Context) (value.Value, Control, error) {
-	l, err := asList(ctx.Inputs[0])
-	if err != nil {
-		return nil, Done, err
-	}
-	return value.Number(float64(l.Len())), Done, nil
-}
-
-func primListContains(p *Process, ctx *Context) (value.Value, Control, error) {
-	l, err := asList(ctx.Inputs[0])
-	if err != nil {
-		return nil, Done, err
-	}
-	return value.Bool(l.Contains(ctx.Inputs[1])), Done, nil
-}
-
-func primAddToList(p *Process, ctx *Context) (value.Value, Control, error) {
-	l, err := asList(ctx.Inputs[1])
-	if err != nil {
-		return nil, Done, err
-	}
-	if err := checkListLen(l.Len() + 1); err != nil {
-		return nil, Done, err
-	}
-	l.Add(ctx.Inputs[0])
-	return nil, Done, nil
-}
-
-func primDeleteFromList(p *Process, ctx *Context) (value.Value, Control, error) {
-	l, err := asList(ctx.Inputs[1])
-	if err != nil {
-		return nil, Done, err
-	}
-	i, err := value.ToInt(ctx.Inputs[0])
-	if err != nil {
-		return nil, Done, err
-	}
-	return nil, Done, l.DeleteAt(i)
-}
-
-func primInsertInList(p *Process, ctx *Context) (value.Value, Control, error) {
-	l, err := asList(ctx.Inputs[2])
-	if err != nil {
-		return nil, Done, err
-	}
-	i, err := value.ToInt(ctx.Inputs[1])
-	if err != nil {
-		return nil, Done, err
-	}
-	if err := checkListLen(l.Len() + 1); err != nil {
-		return nil, Done, err
-	}
-	return nil, Done, l.InsertAt(i, ctx.Inputs[0])
-}
-
-func primReplaceInList(p *Process, ctx *Context) (value.Value, Control, error) {
-	l, err := asList(ctx.Inputs[1])
-	if err != nil {
-		return nil, Done, err
-	}
-	i, err := value.ToInt(ctx.Inputs[0])
-	if err != nil {
-		return nil, Done, err
-	}
-	return nil, Done, l.SetItem(i, ctx.Inputs[2])
 }
 
 // hofState drives the re-entrant sequential higher-order blocks: index of
@@ -173,7 +54,7 @@ func primMap(p *Process, ctx *Context) (value.Value, Control, error) {
 	const argc = 2
 	st, ok := scratchState(ctx, argc)
 	if !ok {
-		l, err := asList(ctx.Inputs[1])
+		l, err := AsList(ctx.Inputs[1])
 		if err != nil {
 			return nil, Done, err
 		}
@@ -205,7 +86,7 @@ func primKeep(p *Process, ctx *Context) (value.Value, Control, error) {
 	const argc = 2
 	st, ok := scratchState(ctx, argc)
 	if !ok {
-		l, err := asList(ctx.Inputs[1])
+		l, err := AsList(ctx.Inputs[1])
 		if err != nil {
 			return nil, Done, err
 		}
@@ -244,7 +125,7 @@ func primCombine(p *Process, ctx *Context) (value.Value, Control, error) {
 	const argc = 2
 	st, ok := scratchState(ctx, argc)
 	if !ok {
-		l, err := asList(ctx.Inputs[0])
+		l, err := AsList(ctx.Inputs[0])
 		if err != nil {
 			return nil, Done, err
 		}
@@ -284,7 +165,7 @@ func primForEach(p *Process, ctx *Context) (value.Value, Control, error) {
 	const argc = 3
 	st, ok := scratchState(ctx, argc)
 	if !ok {
-		l, err := asList(ctx.Inputs[1])
+		l, err := AsList(ctx.Inputs[1])
 		if err != nil {
 			return nil, Done, err
 		}

@@ -1,140 +1,18 @@
 package interp
 
 import (
-	"fmt"
-	"math"
 	"math/rand"
-	"strings"
 	"sync/atomic"
 
 	"repro/internal/value"
 )
 
-// This file implements the operator (green) and text opcodes.
+// This file implements "pick random _ to _", the one operator that is not
+// a pure function of its inputs (it draws from the machine's or the
+// process's random stream); the pure operators live in PureOps.
 
 func init() {
-	RegisterPrimitive("reportSum", numericBinary(func(a, b float64) float64 { return a + b }))
-	RegisterPrimitive("reportDifference", numericBinary(func(a, b float64) float64 { return a - b }))
-	RegisterPrimitive("reportProduct", numericBinary(func(a, b float64) float64 { return a * b }))
-	RegisterPrimitive("reportQuotient", primQuotient)
-	RegisterPrimitive("reportModulus", primModulus)
-	RegisterPrimitive("reportRound", primRound)
-	RegisterPrimitive("reportMonadic", primMonadic)
 	RegisterPrimitive("reportRandom", primRandom)
-	RegisterPrimitive("reportLessThan", primLessThan)
-	RegisterPrimitive("reportEquals", primEquals)
-	RegisterPrimitive("reportGreaterThan", primGreaterThan)
-	RegisterPrimitive("reportAnd", primAnd)
-	RegisterPrimitive("reportOr", primOr)
-	RegisterPrimitive("reportNot", primNot)
-	RegisterPrimitive("reportIfElse", primReportIfElse)
-	RegisterPrimitive("reportJoinWords", primJoin)
-	RegisterPrimitive("reportLetter", primLetter)
-	RegisterPrimitive("reportStringSize", primStringSize)
-	RegisterPrimitive("reportTextSplit", primTextSplit)
-}
-
-func numericBinary(f func(a, b float64) float64) Primitive {
-	return func(p *Process, ctx *Context) (value.Value, Control, error) {
-		a, err := value.ToNumber(ctx.Inputs[0])
-		if err != nil {
-			return nil, Done, err
-		}
-		b, err := value.ToNumber(ctx.Inputs[1])
-		if err != nil {
-			return nil, Done, err
-		}
-		return value.Num(f(float64(a), float64(b))), Done, nil
-	}
-}
-
-func primQuotient(p *Process, ctx *Context) (value.Value, Control, error) {
-	a, err := value.ToNumber(ctx.Inputs[0])
-	if err != nil {
-		return nil, Done, err
-	}
-	b, err := value.ToNumber(ctx.Inputs[1])
-	if err != nil {
-		return nil, Done, err
-	}
-	if b == 0 {
-		return nil, Done, fmt.Errorf("division by zero")
-	}
-	return value.Num(float64(a / b)), Done, nil
-}
-
-func primModulus(p *Process, ctx *Context) (value.Value, Control, error) {
-	a, err := value.ToNumber(ctx.Inputs[0])
-	if err != nil {
-		return nil, Done, err
-	}
-	b, err := value.ToNumber(ctx.Inputs[1])
-	if err != nil {
-		return nil, Done, err
-	}
-	if b == 0 {
-		return nil, Done, fmt.Errorf("modulus by zero")
-	}
-	// Snap!'s mod matches the sign of the divisor.
-	m := math.Mod(float64(a), float64(b))
-	if m != 0 && (m < 0) != (float64(b) < 0) {
-		m += float64(b)
-	}
-	return value.Num(m), Done, nil
-}
-
-func primRound(p *Process, ctx *Context) (value.Value, Control, error) {
-	a, err := value.ToNumber(ctx.Inputs[0])
-	if err != nil {
-		return nil, Done, err
-	}
-	return value.Num(math.Round(float64(a))), Done, nil
-}
-
-func primMonadic(p *Process, ctx *Context) (value.Value, Control, error) {
-	fn := strings.ToLower(ctx.Inputs[0].String())
-	a, err := value.ToNumber(ctx.Inputs[1])
-	if err != nil {
-		return nil, Done, err
-	}
-	x := float64(a)
-	var r float64
-	switch fn {
-	case "sqrt":
-		if x < 0 {
-			return nil, Done, fmt.Errorf("square root of a negative number")
-		}
-		r = math.Sqrt(x)
-	case "abs":
-		r = math.Abs(x)
-	case "floor":
-		r = math.Floor(x)
-	case "ceiling":
-		r = math.Ceil(x)
-	case "sin":
-		r = math.Sin(x * math.Pi / 180)
-	case "cos":
-		r = math.Cos(x * math.Pi / 180)
-	case "tan":
-		r = math.Tan(x * math.Pi / 180)
-	case "asin":
-		r = math.Asin(x) * 180 / math.Pi
-	case "acos":
-		r = math.Acos(x) * 180 / math.Pi
-	case "atan":
-		r = math.Atan(x) * 180 / math.Pi
-	case "ln":
-		r = math.Log(x)
-	case "log":
-		r = math.Log10(x)
-	case "e^":
-		r = math.Exp(x)
-	case "10^":
-		r = math.Pow(10, x)
-	default:
-		return nil, Done, fmt.Errorf("unknown function %q", fn)
-	}
-	return value.Num(r), Done, nil
 }
 
 // workerSeed derives a distinct seed for each detached (worker) process.
@@ -192,119 +70,4 @@ func primRandom(p *Process, ctx *Context) (value.Value, Control, error) {
 		return value.NumInt(int(lo) + rng.Intn(int(hi)-int(lo)+1)), Done, nil
 	}
 	return value.Num(lo + rng.Float64()*(hi-lo)), Done, nil
-}
-
-func primLessThan(p *Process, ctx *Context) (value.Value, Control, error) {
-	lt, err := value.Less(ctx.Inputs[0], ctx.Inputs[1])
-	return value.BoolVal(lt), Done, err
-}
-
-func primEquals(p *Process, ctx *Context) (value.Value, Control, error) {
-	return value.BoolVal(value.Equal(ctx.Inputs[0], ctx.Inputs[1])), Done, nil
-}
-
-func primGreaterThan(p *Process, ctx *Context) (value.Value, Control, error) {
-	gt, err := value.Greater(ctx.Inputs[0], ctx.Inputs[1])
-	return value.BoolVal(gt), Done, err
-}
-
-func primAnd(p *Process, ctx *Context) (value.Value, Control, error) {
-	a, err := value.ToBool(ctx.Inputs[0])
-	if err != nil {
-		return nil, Done, err
-	}
-	b, err := value.ToBool(ctx.Inputs[1])
-	if err != nil {
-		return nil, Done, err
-	}
-	return value.BoolVal(bool(a && b)), Done, nil
-}
-
-func primOr(p *Process, ctx *Context) (value.Value, Control, error) {
-	a, err := value.ToBool(ctx.Inputs[0])
-	if err != nil {
-		return nil, Done, err
-	}
-	b, err := value.ToBool(ctx.Inputs[1])
-	if err != nil {
-		return nil, Done, err
-	}
-	return value.BoolVal(bool(a || b)), Done, nil
-}
-
-func primNot(p *Process, ctx *Context) (value.Value, Control, error) {
-	a, err := value.ToBool(ctx.Inputs[0])
-	if err != nil {
-		return nil, Done, err
-	}
-	return value.BoolVal(bool(!a)), Done, nil
-}
-
-// primReportIfElse is the reporter-shaped conditional ("if _ then _ else
-// _"): Snap!'s hexagonal reporter that picks one of two values. Like every
-// reporter input slot in this interpreter, both branches are evaluated
-// before the block applies (no short-circuit), the same eager semantics as
-// reportAnd/reportOr.
-func primReportIfElse(p *Process, ctx *Context) (value.Value, Control, error) {
-	cond, err := value.ToBool(ctx.Inputs[0])
-	if err != nil {
-		return nil, Done, err
-	}
-	if cond {
-		return ctx.Inputs[1], Done, nil
-	}
-	return ctx.Inputs[2], Done, nil
-}
-
-func primJoin(p *Process, ctx *Context) (value.Value, Control, error) {
-	total := 0
-	for _, v := range ctx.Inputs {
-		total += len(v.String())
-	}
-	if err := checkTextLen(total); err != nil {
-		return nil, Done, err
-	}
-	var b strings.Builder
-	for _, v := range ctx.Inputs {
-		b.WriteString(v.String())
-	}
-	return value.Text(b.String()), Done, nil
-}
-
-func primLetter(p *Process, ctx *Context) (value.Value, Control, error) {
-	i, err := value.ToInt(ctx.Inputs[0])
-	if err != nil {
-		return nil, Done, err
-	}
-	s := []rune(ctx.Inputs[1].String())
-	if i < 1 || i > len(s) {
-		return value.Str(""), Done, nil
-	}
-	return value.Str(string(s[i-1])), Done, nil
-}
-
-func primStringSize(p *Process, ctx *Context) (value.Value, Control, error) {
-	return value.NumInt(len([]rune(ctx.Inputs[0].String()))), Done, nil
-}
-
-func primTextSplit(p *Process, ctx *Context) (value.Value, Control, error) {
-	text := ctx.Inputs[0].String()
-	delim := ctx.Inputs[1].String()
-	var parts []string
-	switch delim {
-	case "whitespace", " ":
-		parts = strings.Fields(text)
-	case "":
-		for _, r := range text {
-			parts = append(parts, string(r))
-		}
-	case "line":
-		parts = strings.Split(text, "\n")
-	default:
-		parts = strings.Split(text, delim)
-	}
-	if err := checkListLen(len(parts)); err != nil {
-		return nil, Done, err
-	}
-	return value.FromStrings(parts), Done, nil
 }

@@ -63,22 +63,13 @@ func (f Finding) String() string {
 	return fmt.Sprintf("%s [%s] %s: %s", f.Severity, f.Code, sprite, f.Message)
 }
 
-// arities maps opcodes to their declared input count. Negative values mark
-// variadic opcodes, encoded as -(min+1): -1 means "any number", -2 means
-// "at least one".
+// arities maps the opcodes outside interp.PureOps (which declares its own
+// arities) to their declared input count. Negative values mark variadic
+// opcodes, encoded as -(min+1): -1 means "any number", -2 means "at least
+// one".
 var arities = map[string]int{
-	"reportSum": 2, "reportDifference": 2, "reportProduct": 2,
-	"reportQuotient": 2, "reportModulus": 2, "reportRound": 1,
-	"reportMonadic": 2, "reportRandom": 2,
-	"reportLessThan": 2, "reportEquals": 2, "reportGreaterThan": 2,
-	"reportAnd": 2, "reportOr": 2, "reportNot": 1, "reportIfElse": 3,
-	"reportJoinWords": -2, "reportLetter": 2, "reportStringSize": 1,
-	"reportTextSplit": 2,
-	"reportNewList":   -1, "reportNumbers": 2, "reportListItem": 2,
-	"reportListLength": 1, "reportListContainsItem": 2,
-	"doAddToList": 2, "doDeleteFromList": 2, "doInsertInList": 3,
-	"doReplaceInList": 3,
-	"doSetVar":        2, "doChangeVar": 2, "doDeclareVariables": -2,
+	"reportRandom": 2,
+	"doSetVar":     2, "doChangeVar": 2, "doDeclareVariables": -2,
 	"doIf": 2, "doIfElse": 3, "doRepeat": 2, "doForever": 1,
 	"doUntil": 2, "doFor": 4, "doWait": 1, "doWarp": 1,
 	"doReport": 1, "doStopThis": 0,
@@ -94,6 +85,19 @@ var arities = map[string]int{
 	"reportReadFile": 1, "reportFileLines": 1,
 	"doWriteFile": 2, "doAppendToFile": 2,
 	"snapWorkerLoop": 0,
+}
+
+// arity reports an opcode's declared input count: exact, or the minimum
+// when variadic.
+func arity(op string) (n int, variadic, ok bool) {
+	if i, ok := interp.PureOpIndex(op); ok {
+		return interp.PureOps[i].Arity, interp.PureOps[i].Variadic, true
+	}
+	want, ok := arities[op]
+	if want < 0 {
+		return -want - 1, true, ok
+	}
+	return want, false, ok
 }
 
 // workerRingOps maps opcodes to the indices of ring inputs that ship to
@@ -239,12 +243,12 @@ func (l *linter) block(sp *blocks.Sprite, b *blocks.Block, sc scope, inWorker bo
 		l.report(sp, Error, "unknown-block", b, "no implementation for block %q", b.Op)
 		return sc
 	}
-	if want, ok := arities[b.Op]; ok {
+	if want, variadic, ok := arity(b.Op); ok {
 		got := len(b.Inputs)
-		if want >= 0 && got != want {
+		if !variadic && got != want {
 			l.report(sp, Error, "bad-arity", b, "%s takes %d inputs, has %d", b.Op, want, got)
-		} else if want < 0 && got < -want-1 {
-			l.report(sp, Error, "bad-arity", b, "%s takes at least %d inputs, has %d", b.Op, -want-1, got)
+		} else if variadic && got < want {
+			l.report(sp, Error, "bad-arity", b, "%s takes at least %d inputs, has %d", b.Op, want, got)
 		}
 	}
 	if inWorker {

@@ -43,8 +43,6 @@ type run struct {
 	splicing      bool
 	spliceDiscard bool
 
-	scratch [3]value.Value
-
 	// Metric deltas batched per slice and flushed on Step return.
 	mOps, mYields, mTree int64
 
@@ -369,7 +367,7 @@ func (r *run) exec1(p *interp.Process, op Op) error {
 	case opForEachInit:
 		lv := r.pop()
 		name := r.pop()
-		l, err := asList(lv)
+		l, err := interp.AsList(lv)
 		if err != nil {
 			return wrap("doForEach", err)
 		}
@@ -388,7 +386,7 @@ func (r *run) exec1(p *interp.Process, op Op) error {
 		}
 
 	case opMapInit:
-		l, err := asList(r.pop())
+		l, err := interp.AsList(r.pop())
 		if err != nil {
 			return wrap("reportMap", err)
 		}
@@ -411,7 +409,7 @@ func (r *run) exec1(p *interp.Process, op Op) error {
 		}
 
 	case opKeepInit:
-		l, err := asList(r.pop())
+		l, err := interp.AsList(r.pop())
 		if err != nil {
 			return wrap("reportKeep", err)
 		}
@@ -440,7 +438,7 @@ func (r *run) exec1(p *interp.Process, op Op) error {
 		}
 
 	case opCombineInit:
-		l, err := asList(r.pop())
+		l, err := interp.AsList(r.pop())
 		if err != nil {
 			return wrap("reportCombine", err)
 		}
@@ -486,50 +484,15 @@ func (r *run) exec1(p *interp.Process, op Op) error {
 			}
 		}
 
-	case opUnary:
-		e := &unaryTable[op.A]
-		r.scratch[0] = r.pop()
-		v, err := e.fn(r.scratch[:1])
-		if err != nil {
-			return wrap(e.name, err)
-		}
-		r.push(v)
-
-	case opBinary:
-		e := &binaryTable[op.A]
-		r.scratch[1] = r.pop()
-		r.scratch[0] = r.pop()
-		v, err := e.fn(r.scratch[:2])
-		if err != nil {
-			return wrap(e.name, err)
-		}
-		if !e.cmd {
-			r.push(v)
-		}
-
-	case opTernary:
-		e := &ternaryTable[op.A]
-		r.scratch[2] = r.pop()
-		r.scratch[1] = r.pop()
-		r.scratch[0] = r.pop()
-		v, err := e.fn(r.scratch[:3])
-		if err != nil {
-			return wrap(e.name, err)
-		}
-		if !e.cmd {
-			r.push(v)
-		}
-
-	case opVariadic:
-		e := &variadicTable[op.A]
-		n := int(op.B)
-		base := len(r.stack) - n
-		v, err := e.fn(r.stack[base:])
+	case opPrim:
+		e := &interp.PureOps[op.A]
+		base := len(r.stack) - int(op.B)
+		v, err := e.Fn(r.stack[base:])
 		r.stack = r.stack[:base]
 		if err != nil {
-			return wrap(e.name, err)
+			return wrap(e.Name, err)
 		}
-		if !e.cmd {
+		if !e.Cmd {
 			r.push(v)
 		}
 
@@ -575,6 +538,3 @@ func (r *run) exec1(p *interp.Process, op Op) error {
 	}
 	return nil
 }
-
-func checkListLen(n int) error { return interp.CheckListLen(n) }
-func checkTextLen(n int) error { return interp.CheckTextLen(n) }

@@ -4,6 +4,7 @@ import (
 	"errors"
 
 	"repro/internal/blocks"
+	"repro/internal/interp"
 	"repro/internal/value"
 )
 
@@ -459,11 +460,11 @@ func (l *lowerer) stmt(b *blocks.Block) error {
 
 	// Table-driven operators: commands emit nothing, reporters in
 	// statement position discard their value like the tree does.
-	if r, ok := fnIndex[b.Op]; ok && (r.arity < 0 || len(b.Inputs) == r.arity) {
-		if err := l.emitFn(b, r); err != nil {
+	if i, ok := interp.PureOpIndex(b.Op); ok && interp.PureOps[i].Accepts(len(b.Inputs)) {
+		if err := l.emitPrim(b, i); err != nil {
 			return err
 		}
-		if !r.cmd {
+		if !interp.PureOps[i].Cmd {
 			l.emit(Op{Code: opPop})
 		}
 		return nil
@@ -478,18 +479,14 @@ func (l *lowerer) stmt(b *blocks.Block) error {
 	return errRefuse
 }
 
-func (l *lowerer) emitFn(b *blocks.Block, r fnRef) error {
+func (l *lowerer) emitPrim(b *blocks.Block, idx int) error {
 	n := len(b.Inputs)
 	for i := 0; i < n; i++ {
 		if err := l.expr(b.Input(i)); err != nil {
 			return err
 		}
 	}
-	if r.code == opVariadic {
-		l.emit(Op{Code: opVariadic, A: r.idx, B: int32(n)})
-	} else {
-		l.emit(Op{Code: r.code, A: r.idx})
-	}
+	l.emit(Op{Code: opPrim, A: int32(idx), B: int32(n)})
 	return nil
 }
 
@@ -583,14 +580,8 @@ func pureOp(op Op) bool {
 		opJumpTrue, opMapInit, opMapNext, opKeepInit, opKeepNext,
 		opCombineInit, opCombineNext:
 		return true
-	case opUnary:
-		return !unaryTable[op.A].cmd
-	case opBinary:
-		return !binaryTable[op.A].cmd
-	case opTernary:
-		return !ternaryTable[op.A].cmd
-	case opVariadic:
-		return !variadicTable[op.A].cmd
+	case opPrim:
+		return !interp.PureOps[op.A].Cmd
 	}
 	return false
 }
@@ -666,11 +657,11 @@ func (l *lowerer) tryFold(lo int) {
 }
 
 func (l *lowerer) exprBlock(b *blocks.Block) error {
-	if r, ok := fnIndex[b.Op]; ok && (r.arity < 0 || len(b.Inputs) == r.arity) {
-		if err := l.emitFn(b, r); err != nil {
+	if i, ok := interp.PureOpIndex(b.Op); ok && interp.PureOps[i].Accepts(len(b.Inputs)) {
+		if err := l.emitPrim(b, i); err != nil {
 			return err
 		}
-		if r.cmd {
+		if interp.PureOps[i].Cmd {
 			l.emit(Op{Code: opNothing}) // a command in expr position reports Nothing
 		}
 		return nil

@@ -15,10 +15,6 @@
 package vm
 
 import (
-	"fmt"
-	"math"
-	"strings"
-
 	"repro/internal/blocks"
 	"repro/internal/interp"
 	"repro/internal/value"
@@ -83,10 +79,7 @@ const (
 	opHofParams   // push a call frame declaring Metas[B].params from ctrl[A]'s args
 
 	// Table-driven eager operators.
-	opUnary    // pop 1, apply unaryTable[A]
-	opBinary   // pop 2, apply binaryTable[A]
-	opTernary  // pop 3, apply ternaryTable[A]
-	opVariadic // pop B, apply variadicTable[A]
+	opPrim // pop B inputs, apply interp.PureOps[A]; commands push nothing
 
 	// Fallback: evaluate Nodes[A] through the tree-walker in the current
 	// frame; B==1 discards the value (statement position).
@@ -161,373 +154,26 @@ func SetMapReduceLowerer(h func(mapRing, reduceRing *blocks.Ring) MRCall) {
 	mapReduceHook = h
 }
 
-// primEntry is one table-driven operator: the tree primitive's exact
-// logic over already-evaluated inputs, plus the selector its errors wrap
-// with. cmd entries are command blocks: they push no value.
-type primEntry struct {
-	name string
-	cmd  bool
-	fn   func(args []value.Value) (value.Value, error)
-}
-
-func asList(v value.Value) (*value.List, error) {
-	if l, ok := v.(*value.List); ok {
-		return l, nil
-	}
-	return nil, fmt.Errorf("expecting a list but getting a %s", v.Kind())
-}
-
-func numBin(f func(a, b float64) float64) func(args []value.Value) (value.Value, error) {
-	return func(args []value.Value) (value.Value, error) {
-		a, err := value.ToNumber(args[0])
-		if err != nil {
-			return nil, err
-		}
-		b, err := value.ToNumber(args[1])
-		if err != nil {
-			return nil, err
-		}
-		return value.Num(f(float64(a), float64(b))), nil
-	}
-}
-
-// Table indices are referenced by name from the lowering pass; the
-// fnIndex maps selector -> (arity class, index).
-var unaryTable = []primEntry{
-	{name: "reportRound", fn: func(args []value.Value) (value.Value, error) {
-		a, err := value.ToNumber(args[0])
-		if err != nil {
-			return nil, err
-		}
-		return value.Num(math.Round(float64(a))), nil
-	}},
-	{name: "reportNot", fn: func(args []value.Value) (value.Value, error) {
-		a, err := value.ToBool(args[0])
-		if err != nil {
-			return nil, err
-		}
-		return value.BoolVal(bool(!a)), nil
-	}},
-	{name: "reportListLength", fn: func(args []value.Value) (value.Value, error) {
-		l, err := asList(args[0])
-		if err != nil {
-			return nil, err
-		}
-		return value.Number(float64(l.Len())), nil
-	}},
-	{name: "reportStringSize", fn: func(args []value.Value) (value.Value, error) {
-		return value.NumInt(len([]rune(args[0].String()))), nil
-	}},
-}
-
-var binaryTable = []primEntry{
-	{name: "reportSum", fn: numBin(func(a, b float64) float64 { return a + b })},
-	{name: "reportDifference", fn: numBin(func(a, b float64) float64 { return a - b })},
-	{name: "reportProduct", fn: numBin(func(a, b float64) float64 { return a * b })},
-	{name: "reportQuotient", fn: func(args []value.Value) (value.Value, error) {
-		a, err := value.ToNumber(args[0])
-		if err != nil {
-			return nil, err
-		}
-		b, err := value.ToNumber(args[1])
-		if err != nil {
-			return nil, err
-		}
-		if b == 0 {
-			return nil, fmt.Errorf("division by zero")
-		}
-		return value.Num(float64(a / b)), nil
-	}},
-	{name: "reportModulus", fn: func(args []value.Value) (value.Value, error) {
-		a, err := value.ToNumber(args[0])
-		if err != nil {
-			return nil, err
-		}
-		b, err := value.ToNumber(args[1])
-		if err != nil {
-			return nil, err
-		}
-		if b == 0 {
-			return nil, fmt.Errorf("modulus by zero")
-		}
-		m := math.Mod(float64(a), float64(b))
-		if m != 0 && (m < 0) != (float64(b) < 0) {
-			m += float64(b)
-		}
-		return value.Num(m), nil
-	}},
-	{name: "reportMonadic", fn: func(args []value.Value) (value.Value, error) {
-		fn := strings.ToLower(args[0].String())
-		a, err := value.ToNumber(args[1])
-		if err != nil {
-			return nil, err
-		}
-		x := float64(a)
-		var r float64
-		switch fn {
-		case "sqrt":
-			if x < 0 {
-				return nil, fmt.Errorf("square root of a negative number")
-			}
-			r = math.Sqrt(x)
-		case "abs":
-			r = math.Abs(x)
-		case "floor":
-			r = math.Floor(x)
-		case "ceiling":
-			r = math.Ceil(x)
-		case "sin":
-			r = math.Sin(x * math.Pi / 180)
-		case "cos":
-			r = math.Cos(x * math.Pi / 180)
-		case "tan":
-			r = math.Tan(x * math.Pi / 180)
-		case "asin":
-			r = math.Asin(x) * 180 / math.Pi
-		case "acos":
-			r = math.Acos(x) * 180 / math.Pi
-		case "atan":
-			r = math.Atan(x) * 180 / math.Pi
-		case "ln":
-			r = math.Log(x)
-		case "log":
-			r = math.Log10(x)
-		case "e^":
-			r = math.Exp(x)
-		case "10^":
-			r = math.Pow(10, x)
-		default:
-			return nil, fmt.Errorf("unknown function %q", fn)
-		}
-		return value.Num(r), nil
-	}},
-	{name: "reportLessThan", fn: func(args []value.Value) (value.Value, error) {
-		lt, err := value.Less(args[0], args[1])
-		if err != nil {
-			return nil, err
-		}
-		return value.BoolVal(lt), nil
-	}},
-	{name: "reportGreaterThan", fn: func(args []value.Value) (value.Value, error) {
-		gt, err := value.Greater(args[0], args[1])
-		if err != nil {
-			return nil, err
-		}
-		return value.BoolVal(gt), nil
-	}},
-	{name: "reportEquals", fn: func(args []value.Value) (value.Value, error) {
-		return value.BoolVal(value.Equal(args[0], args[1])), nil
-	}},
-	{name: "reportAnd", fn: func(args []value.Value) (value.Value, error) {
-		a, err := value.ToBool(args[0])
-		if err != nil {
-			return nil, err
-		}
-		b, err := value.ToBool(args[1])
-		if err != nil {
-			return nil, err
-		}
-		return value.BoolVal(bool(a && b)), nil
-	}},
-	{name: "reportOr", fn: func(args []value.Value) (value.Value, error) {
-		a, err := value.ToBool(args[0])
-		if err != nil {
-			return nil, err
-		}
-		b, err := value.ToBool(args[1])
-		if err != nil {
-			return nil, err
-		}
-		return value.BoolVal(bool(a || b)), nil
-	}},
-	{name: "reportLetter", fn: func(args []value.Value) (value.Value, error) {
-		i, err := value.ToInt(args[0])
-		if err != nil {
-			return nil, err
-		}
-		s := []rune(args[1].String())
-		if i < 1 || i > len(s) {
-			return value.Str(""), nil
-		}
-		return value.Str(string(s[i-1])), nil
-	}},
-	{name: "reportTextSplit", fn: func(args []value.Value) (value.Value, error) {
-		text := args[0].String()
-		delim := args[1].String()
-		var parts []string
-		switch delim {
-		case "whitespace", " ":
-			parts = strings.Fields(text)
-		case "":
-			for _, r := range text {
-				parts = append(parts, string(r))
-			}
-		case "line":
-			parts = strings.Split(text, "\n")
-		default:
-			parts = strings.Split(text, delim)
-		}
-		if err := checkListLen(len(parts)); err != nil {
-			return nil, err
-		}
-		return value.FromStrings(parts), nil
-	}},
-	{name: "reportNumbers", fn: func(args []value.Value) (value.Value, error) {
-		from, err := value.ToNumber(args[0])
-		if err != nil {
-			return nil, err
-		}
-		to, err := value.ToNumber(args[1])
-		if err != nil {
-			return nil, err
-		}
-		step := 1.0
-		if from > to {
-			step = -1
-		}
-		if err := interp.CheckNumbersBounds(float64(from), float64(to)); err != nil {
-			return nil, err
-		}
-		return value.Range(float64(from), float64(to), step), nil
-	}},
-	{name: "reportListItem", fn: func(args []value.Value) (value.Value, error) {
-		i, err := value.ToInt(args[0])
-		if err != nil {
-			return nil, err
-		}
-		l, err := asList(args[1])
-		if err != nil {
-			return nil, err
-		}
-		return l.Item(i)
-	}},
-	{name: "reportListContainsItem", fn: func(args []value.Value) (value.Value, error) {
-		l, err := asList(args[0])
-		if err != nil {
-			return nil, err
-		}
-		return value.Bool(l.Contains(args[1])), nil
-	}},
-	{name: "doAddToList", cmd: true, fn: func(args []value.Value) (value.Value, error) {
-		l, err := asList(args[1])
-		if err != nil {
-			return nil, err
-		}
-		if err := checkListLen(l.Len() + 1); err != nil {
-			return nil, err
-		}
-		l.Add(args[0])
-		return nil, nil
-	}},
-	{name: "doDeleteFromList", cmd: true, fn: func(args []value.Value) (value.Value, error) {
-		l, err := asList(args[1])
-		if err != nil {
-			return nil, err
-		}
-		i, err := value.ToInt(args[0])
-		if err != nil {
-			return nil, err
-		}
-		return nil, l.DeleteAt(i)
-	}},
-}
-
-var ternaryTable = []primEntry{
-	{name: "reportIfElse", fn: func(args []value.Value) (value.Value, error) {
-		cond, err := value.ToBool(args[0])
-		if err != nil {
-			return nil, err
-		}
-		if cond {
-			return args[1], nil
-		}
-		return args[2], nil
-	}},
-	{name: "doInsertInList", cmd: true, fn: func(args []value.Value) (value.Value, error) {
-		l, err := asList(args[2])
-		if err != nil {
-			return nil, err
-		}
-		i, err := value.ToInt(args[1])
-		if err != nil {
-			return nil, err
-		}
-		if err := checkListLen(l.Len() + 1); err != nil {
-			return nil, err
-		}
-		return nil, l.InsertAt(i, args[0])
-	}},
-	{name: "doReplaceInList", cmd: true, fn: func(args []value.Value) (value.Value, error) {
-		l, err := asList(args[1])
-		if err != nil {
-			return nil, err
-		}
-		i, err := value.ToInt(args[0])
-		if err != nil {
-			return nil, err
-		}
-		return nil, l.SetItem(i, args[2])
-	}},
-}
-
-var variadicTable = []primEntry{
-	{name: "reportJoinWords", fn: func(args []value.Value) (value.Value, error) {
-		total := 0
-		for _, v := range args {
-			total += len(v.String())
-		}
-		if err := checkTextLen(total); err != nil {
-			return nil, err
-		}
-		var b strings.Builder
-		for _, v := range args {
-			b.WriteString(v.String())
-		}
-		return value.Text(b.String()), nil
-	}},
-	{name: "reportNewList", fn: func(args []value.Value) (value.Value, error) {
-		return value.NewList(args...), nil
-	}},
-}
-
-// fnRef locates a selector in the operator tables.
-type fnRef struct {
-	code  Code // opUnary / opBinary / opTernary / opVariadic
-	idx   int32
-	arity int // fixed arity; -1 for variadic
-	cmd   bool
-}
-
-var fnIndex = map[string]fnRef{}
-
 // SwapBinaryOps builds a program mutator that rewrites every lowered
-// binary op implementing selector `from` so it executes `to` instead — a
+// operator op implementing selector `from` so it executes `to` instead — a
 // deliberate, surgical VM bug for the stress engine's self-test (install
-// with SetProgramMutator). ok is false when either selector is not a
-// table-driven binary primitive.
+// with SetProgramMutator). ok is false unless both selectors are
+// fixed-arity-2 reporters of the pure-primitive table.
 func SwapBinaryOps(from, to string) (func(*Program), bool) {
-	f, okf := fnIndex[from]
-	t, okt := fnIndex[to]
-	if !okf || !okt || f.code != opBinary || t.code != opBinary {
+	f, okf := interp.PureOpIndex(from)
+	t, okt := interp.PureOpIndex(to)
+	binary := func(i int) bool {
+		o := &interp.PureOps[i]
+		return !o.Variadic && !o.Cmd && o.Arity == 2
+	}
+	if !okf || !okt || !binary(f) || !binary(t) {
 		return nil, false
 	}
 	return func(p *Program) {
 		for i := range p.Ops {
-			if p.Ops[i].Code == opBinary && p.Ops[i].A == f.idx {
-				p.Ops[i].A = t.idx
+			if p.Ops[i].Code == opPrim && p.Ops[i].A == int32(f) {
+				p.Ops[i].A = int32(t)
 			}
 		}
 	}, true
-}
-
-func init() {
-	reg := func(code Code, arity int, tbl []primEntry) {
-		for i, e := range tbl {
-			fnIndex[e.name] = fnRef{code: code, idx: int32(i), arity: arity, cmd: e.cmd}
-		}
-	}
-	reg(opUnary, 1, unaryTable)
-	reg(opBinary, 2, binaryTable)
-	reg(opTernary, 3, ternaryTable)
-	reg(opVariadic, -1, variadicTable)
 }

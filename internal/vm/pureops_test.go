@@ -1,0 +1,106 @@
+package vm
+
+import (
+	"testing"
+
+	"repro/internal/blocks"
+	"repro/internal/compile"
+	"repro/internal/interp"
+	"repro/internal/lint"
+)
+
+// TestPureOpsCoverage walks the shared pure-primitive table and checks that
+// every tier consumes every entry: the tree walker has it registered, the
+// lowering pass emits a table op for it, the ring compiler compiles it
+// (reporters only: kernels never run commands), and the linter enforces
+// its arity. A tier that silently stopped covering a primitive would fall
+// back to a slower path with no test noticing; this one does.
+func TestPureOpsCoverage(t *testing.T) {
+	for i := range interp.PureOps {
+		o := &interp.PureOps[i]
+		t.Run(o.Name, func(t *testing.T) {
+			if j, ok := interp.PureOpIndex(o.Name); !ok || j != i {
+				t.Errorf("PureOpIndex(%q) = %d, %v; want %d", o.Name, j, ok, i)
+			}
+			if !interp.HasPrimitive(o.Name) {
+				t.Error("not registered with the tree walker")
+			}
+			checkLowered(t, o, i)
+			if !o.Cmd {
+				ring := &blocks.Ring{Body: withInputs(o.Name, o.Arity, func(int) blocks.Node { return blocks.Num(1) })}
+				if _, ok := compile.Ring(ring); !ok {
+					t.Error("compile.Ring refused a ring of the op with literal inputs")
+				}
+			}
+			checkLintArity(t, o)
+		})
+	}
+}
+
+// withInputs builds a block of op with n inputs made by in.
+func withInputs(op string, n int, in func(int) blocks.Node) *blocks.Block {
+	ins := make([]blocks.Node, n)
+	for k := range ins {
+		ins[k] = in(k)
+	}
+	return blocks.NewBlock(op, ins...)
+}
+
+// checkLowered lowers a one-block script applying the op to variable
+// reads (literals would constant-fold the op away) and requires the
+// program to apply table entry i natively.
+func checkLowered(t *testing.T, o *interp.PureOp, i int) {
+	t.Helper()
+	names := []string{"a", "b", "c"}
+	b := withInputs(o.Name, o.Arity, func(k int) blocks.Node { return blocks.Var(names[k]) })
+	s := blocks.NewScript(b)
+	if !o.Cmd {
+		s = blocks.NewScript(blocks.Report(b))
+	}
+	prog := LowerScript(s)
+	if prog == nil {
+		t.Fatal("lowering refused the script")
+	}
+	found := false
+	for _, op := range prog.Ops {
+		switch {
+		case op.Code == opCallTree:
+			t.Errorf("lowered to a tree splice: %+v", prog.Ops)
+		case op.Code == opPrim && op.A == int32(i) && op.B == int32(o.Arity):
+			found = true
+		}
+	}
+	if !found {
+		t.Errorf("no opPrim applying entry %d in %+v", i, prog.Ops)
+	}
+}
+
+// checkLintArity requires the linter to accept the declared arity and flag
+// one input too many (fixed arity) or one too few.
+func checkLintArity(t *testing.T, o *interp.PureOp) {
+	t.Helper()
+	badArity := func(n int) int {
+		b := withInputs(o.Name, n, func(int) blocks.Node { return blocks.Num(1) })
+		p := blocks.NewProject("t")
+		p.AddSprite(blocks.NewSprite("S")).AddScript(blocks.HatGreenFlag, "", blocks.NewScript(b))
+		count := 0
+		for _, f := range lint.Project(p) {
+			if f.Code == "bad-arity" {
+				count++
+			}
+		}
+		return count
+	}
+	if got := badArity(o.Arity); got != 0 {
+		t.Errorf("lint flags the declared arity %d", o.Arity)
+	}
+	if !o.Variadic && badArity(o.Arity+1) != 1 {
+		t.Errorf("lint accepts %d inputs (arity %d)", o.Arity+1, o.Arity)
+	}
+	if o.Variadic && badArity(o.Arity+1) != 0 {
+		t.Errorf("lint flags %d inputs of a variadic op with minimum %d", o.Arity+1, o.Arity)
+	}
+	if o.Arity > 0 && badArity(o.Arity-1) != 1 {
+		t.Errorf("lint accepts %d inputs (arity %d)", o.Arity-1, o.Arity)
+	}
+}
