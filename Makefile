@@ -23,7 +23,9 @@ race:
 # program cache with its singleflight front, and the execution service
 # and the shard router with its concurrent failover e2e, plus the
 # evolutionary stress engine itself), shuffled so inter-test ordering
-# dependencies can't hide, then give both differential fuzzers —
+# dependencies can't hide, repeat the router's failover tests so the race
+# between a backend closing a pooled connection and the router writing
+# to it keeps getting exercised, then give both differential fuzzers —
 # compiled-vs-interpreted rings and lowered-vs-tree-walked scripts — a
 # short burst, and finish with the deterministic-seed cross-tier stress
 # soak.
@@ -34,6 +36,7 @@ check:
 		./internal/vm/... ./internal/progcache/... ./internal/runtime/... \
 		./internal/server/... ./internal/obs/... ./internal/shard/... \
 		./internal/evo/... ./internal/value/... ./internal/ingest/...
+	$(GO) test -race -count=10 -run 'E2EFailover|KillDuringTraffic|IdleClose' ./internal/shard
 	$(GO) test -run '^$$' -fuzz FuzzCompileRing -fuzztime 5s ./internal/compile/
 	$(GO) test -run '^$$' -fuzz FuzzLowerProject -fuzztime 5s ./internal/vm/
 	$(MAKE) stress

@@ -4,8 +4,8 @@
 // address internal/progcache keys on), routes session lookups to the
 // shard that ran them, health-checks the backends (ejecting dead or
 // draining ones and re-admitting them when they recover), retries
-// connect errors onto the next shard with exponential backoff, and sheds
-// load cluster-wide with a bounded in-flight budget.
+// requests a backend never served onto the next shard with exponential
+// backoff, and sheds load cluster-wide with a bounded in-flight budget.
 //
 //	snapshardd -backends http://10.0.0.1:8080,http://10.0.0.2:8080
 //	snapshardd -smoke        # self-test: 2 in-process backends, one kill
@@ -47,7 +47,7 @@ func main() {
 		maxBody        = flag.Int64("maxbody", 1<<20, "request body cap in bytes")
 		healthInterval = flag.Duration("health-interval", 500*time.Millisecond, "active /healthz probe period per backend")
 		failThreshold  = flag.Int("fail-threshold", 2, "consecutive failures that eject a backend from the ring")
-		maxRetries     = flag.Int("max-retries", 3, "additional forward attempts after a connect error")
+		maxRetries     = flag.Int("max-retries", 3, "additional forward attempts after one the backend never served")
 		smoke          = flag.Bool("smoke", false, "self-test: route over 2 in-process backends, kill one, exit")
 		enableObs      = flag.Bool("obs", true, "collect engine_shard_* metrics (on /metrics)")
 		enablePprof    = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
@@ -185,7 +185,7 @@ func runSmoke(vnodes, maxInflight int) error {
 
 	// The scripted kill: drain backend 0 the way SIGTERM would — stop
 	// accepting, finish in-flight — then keep submitting. Every request
-	// must land on the survivor (connect errors retry onto it).
+	// must land on the survivor (unsent attempts retry onto it).
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
 	b0.http.Shutdown(ctx) //nolint:errcheck

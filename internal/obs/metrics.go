@@ -130,7 +130,7 @@ var (
 		"Requests forwarded to a backend, by backend slot.",
 		"backend", ShardBackendIDs...)
 	ShardRetries = Default.NewCounter("engine_shard_retries_total",
-		"Forward attempts retried onto another attempt after a connect error.")
+		"Forward attempts retried after an attempt the backend never served.")
 	ShardEjections = Default.NewCounterVec("engine_shard_ejections_total",
 		"Backends ejected from the ring by health checking, by backend slot.",
 		"backend", ShardBackendIDs...)

@@ -113,28 +113,63 @@ func (s *Server) SetDraining(on bool) { s.draining.Store(on) }
 // Draining reports whether SetDraining was called.
 func (s *Server) Draining() bool { return s.draining.Load() }
 
-// statusRecorder captures the response code for the request counters.
+// statusRecorder captures the response code for the request counters,
+// and whether the answer has begun.
 type statusRecorder struct {
 	http.ResponseWriter
-	code int
+	code    int
+	started bool
 }
 
 func (sr *statusRecorder) WriteHeader(code int) {
 	sr.code = code
+	sr.started = true
 	sr.ResponseWriter.WriteHeader(code)
 }
 
-// instrument wraps a handler with the body cap and per-endpoint metrics.
-// The endpoint label is the route pattern, not the concrete path, so
-// session IDs never explode metric cardinality.
+func (sr *statusRecorder) Write(b []byte) (int, error) {
+	sr.started = true
+	return sr.ResponseWriter.Write(b)
+}
+
+// instrument wraps a handler with the body cap, per-endpoint metrics and
+// panic containment. The endpoint label is the route pattern, not the
+// concrete path, so session IDs never explode metric cardinality.
+//
+// A panic outside a session (sessions contain their own) is answered
+// like a session fault: 500 with the panic value. Left to net/http, it
+// would drop the connection unanswered, and a fronting router may read
+// a connection that ends with no answer as a request never served. If
+// the answer had already begun, what was written is flushed first and
+// then the connection is dropped, so the client sees a partial answer,
+// never none.
 func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 		rec := &statusRecorder{ResponseWriter: w, code: http.StatusOK}
 		start := time.Now()
+		defer func() {
+			p := recover()
+			abort := p != nil && rec.started
+			if p != nil && !abort {
+				writeJSON(rec, http.StatusInternalServerError, faultBody{
+					Status: runtime.StatusFault, Error: fmt.Sprintf("handler panic: %v", p)})
+			}
+			s.met.request(endpoint, rec.code, time.Since(start).Seconds())
+			if abort {
+				http.NewResponseController(w).Flush() //nolint:errcheck // the connection is dropped next
+				panic(http.ErrAbortHandler)
+			}
+		}()
 		h(rec, r)
-		s.met.request(endpoint, rec.code, time.Since(start).Seconds())
 	}
+}
+
+// faultBody answers a request whose handler panicked with the status
+// and error fields of a faulted session's response.
+type faultBody struct {
+	Status runtime.Status `json:"status"`
+	Error  string         `json:"error"`
 }
 
 // errorBody is the JSON shape of every non-2xx response.
@@ -144,12 +179,13 @@ type errorBody struct {
 	Findings []string `json:"findings,omitempty"`
 }
 
+// writeJSON encodes v before writing the header, so an encoding panic
+// leaves the answer unstarted and instrument can still send a 500.
 func writeJSON(w http.ResponseWriter, code int, v any) {
+	b, _ := json.MarshalIndent(v, "", "  ") // every response type encodes
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v) //nolint:errcheck // client gone; nothing to do
+	w.Write(append(b, '\n')) //nolint:errcheck // client gone; nothing to do
 }
 
 func writeError(w http.ResponseWriter, code int, format string, args ...any) {

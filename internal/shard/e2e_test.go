@@ -18,6 +18,7 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -213,6 +214,69 @@ func TestE2EFailoverMidTraffic(t *testing.T) {
 		t.Errorf("after re-admission key routes to %d, want %d", got, victim)
 	}
 	postOK(t, h, bodies[0])
+}
+
+// TestE2EKillDuringTraffic kills a backend while four workers keep
+// posting, so the kill lands on pooled connections in every state: idle
+// in the router's pool, carrying a request the backend has not read yet,
+// and mid-run. Shutdown closes the idle ones and lets the running ones
+// answer, so every request must still succeed: the ones the victim never
+// served replay on a survivor.
+func TestE2EKillDuringTraffic(t *testing.T) {
+	backends, rt := e2eCluster(t, 3, Config{
+		VNodes:         64,
+		HealthInterval: 100 * time.Millisecond,
+		FailThreshold:  2,
+		RetryBase:      2 * time.Millisecond,
+	})
+	h := rt.Handler()
+	bodies := make([]string, 8)
+	for i := range bodies {
+		bodies[i] = runBody(sayProject(i))
+	}
+	victim := rt.Ring().Prefer(placementKey([]byte(bodies[0])))[0]
+
+	var (
+		wg       sync.WaitGroup
+		stop     = make(chan struct{})
+		served   atomic.Int64
+		failures sync.Map
+	)
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if rec := post(h, bodies[(w+i)%len(bodies)]); rec.Code != http.StatusOK {
+					failures.Store(fmt.Sprintf("w%d #%d: %d %s", w, i, rec.Code, rec.Body.String()), true)
+				}
+				served.Add(1)
+			}
+		}(w)
+	}
+	for served.Load() < 40 {
+		time.Sleep(time.Millisecond)
+	}
+	backends[victim].kill()
+	killedAt := served.Load()
+	for served.Load() < killedAt+40 {
+		time.Sleep(time.Millisecond)
+	}
+	close(stop)
+	wg.Wait()
+
+	failures.Range(func(k, _ any) bool {
+		t.Errorf("failed request across the kill: %s", k)
+		return true
+	})
+	if st := rt.Stats(); st.Retries == 0 {
+		t.Error("no retries counted though the victim owned live keys")
+	}
 }
 
 // TestE2ECacheAffinity pins the reason the placement key is the Tier A

@@ -15,9 +15,10 @@ import (
 //     Interval. Any non-200 answer counts as a failure — which is how a
 //     draining backend (503 from snapserved's SIGTERM handler) gets
 //     ejected before it goes away.
-//   - Passive reports: the proxy reports connect errors it hits while
-//     forwarding, so a crashed backend is ejected within the failure
-//     threshold of real traffic rather than waiting out a probe cycle.
+//   - Passive reports: the proxy reports every forward the backend never
+//     served (a dial error, or a pooled connection the backend hung up
+//     on), so a crashed backend is ejected within the failure threshold
+//     of real traffic rather than waiting out a probe cycle.
 //
 // FailThreshold consecutive failures eject the backend from the ring;
 // one successful *probe* re-admits it. Passive forwarding successes only
@@ -139,7 +140,8 @@ func (ht *healthTracker) report(backend int, ok, fromProbe bool) {
 	}
 }
 
-// reportConnectError is the proxy's passive failure signal.
+// reportConnectError is the proxy's passive failure signal: a forward
+// the backend never served.
 func (ht *healthTracker) reportConnectError(backend int) {
 	ht.report(backend, false, false)
 }

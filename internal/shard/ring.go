@@ -13,12 +13,12 @@
 //
 // The router is a robustness layer, not a dumb proxy: per-backend health
 // checking ejects dead or draining backends from the ring and re-admits
-// them when they recover, connect errors are retried with exponential
-// backoff and jitter onto the next shard in preference order (never
-// replaying a non-idempotent request after a byte reached a backend),
-// backend 429 Retry-After and fault statuses propagate unchanged, and a
-// cluster-wide in-flight budget sheds load with a derived Retry-After
-// when every shard is saturated.
+// them when they recover, requests a backend never served are retried
+// with exponential backoff and jitter onto the next shard in preference
+// order (never replaying a non-idempotent request a backend may have
+// served), backend 429 Retry-After and fault statuses propagate
+// unchanged, and a cluster-wide in-flight budget sheds load with a
+// derived Retry-After when every shard is saturated.
 package shard
 
 import (
@@ -152,7 +152,7 @@ func (r *Ring) Rebuilds() int64 {
 
 // Prefer returns the member backends in the key's preference order: the
 // owner first, then each next distinct backend walking clockwise. The
-// order is the failover chain — a connect error on the owner retries on
+// order is the failover chain — an unsent attempt on the owner retries on
 // Prefer(key)[1], and so on. Empty when no backend is a member.
 func (r *Ring) Prefer(key string) []int {
 	r.mu.RLock()

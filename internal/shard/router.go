@@ -10,8 +10,8 @@ import (
 	"fmt"
 	"io"
 	mathrand "math/rand"
-	"net"
 	"net/http"
+	"net/http/httptrace"
 	"net/http/pprof"
 	"strconv"
 	"strings"
@@ -44,8 +44,8 @@ type Config struct {
 	// FailThreshold is how many consecutive failures eject a backend
 	// (default 2).
 	FailThreshold int
-	// MaxRetries bounds additional forward attempts after a connect
-	// error (default 3).
+	// MaxRetries bounds additional forward attempts after an attempt
+	// the backend never served (default 3).
 	MaxRetries int
 	// RetryBase is the first backoff step; attempt k sleeps
 	// RetryBase<<k plus up to 50% jitter (default 25ms).
@@ -55,9 +55,10 @@ type Config struct {
 	// EnablePprof mounts net/http/pprof under /debug/pprof/.
 	EnablePprof bool
 	// Client overrides the forwarding HTTP client (tests; default is a
-	// dedicated client with no global timeout — per-request contexts
-	// govern instead, since a governed session may legitimately run for
-	// its full wall-clock budget).
+	// dedicated client pooling keep-alive connections, up to MaxInflight
+	// idle ones per backend, with no global timeout — per-request
+	// contexts govern instead, since a governed session may legitimately
+	// run for its full wall-clock budget).
 	Client *http.Client
 }
 
@@ -131,7 +132,10 @@ type Router struct {
 }
 
 // New builds a router over the configured backends and starts its health
-// probes. Callers must Close it to stop them.
+// probes. Callers must Close it to stop them. Forwards reuse pooled
+// keep-alive connections; the retry rule does not depend on the client
+// dialing afresh, because attempt asks the connection itself whether the
+// backend was ever served (see unsent).
 func New(cfg Config) (*Router, error) {
 	cfg = cfg.withDefaults()
 	if len(cfg.Backends) == 0 {
@@ -161,16 +165,22 @@ func New(cfg Config) (*Router, error) {
 		sessions: map[string]int{},
 	}
 	if rt.client == nil {
-		// Fresh connection per forward, deliberately: with no pooled
-		// keep-alive connections, every pre-byte failure surfaces as a
-		// dial error — the one class the router may safely retry on
-		// another shard. A reused connection that a dying backend closed
-		// under us would instead fail with an EOF indistinguishable from
-		// a mid-request death, forcing the router to either fail a
-		// request no backend ever saw or risk replaying one a backend
-		// did see. Correct failover semantics are worth the handshake.
+		// Every admitted request may be in flight to one backend at
+		// once, so MaxInflight idle connections per backend is enough
+		// for a burst to find them all again on the way back.
+		//
+		// Idle connections close after half a probe interval. When a
+		// dial finishes after its request took another connection, the
+		// transport pools the new one unused, and a backend's graceful
+		// Shutdown waits up to 5 s for a connection that never carried
+		// a request. The timeout bounds that wait by half a probe
+		// interval instead; under traffic the connections in use never
+		// sit idle that long.
 		rt.client = &http.Client{
-			Transport: &http.Transport{DisableKeepAlives: true},
+			Transport: &http.Transport{
+				MaxIdleConnsPerHost: cfg.MaxInflight,
+				IdleConnTimeout:     cfg.HealthInterval / 2,
+			},
 		}
 	}
 	rt.health = newHealthTracker(rt.ring, backends, cfg.HealthInterval, cfg.FailThreshold)
@@ -298,14 +308,57 @@ func placementKey(body []byte) string {
 	return progcache.BodyHash(string(body), "raw")
 }
 
-// isConnectErr reports whether a forward failed before any byte reached
-// the backend — the only failure a non-idempotent request may retry.
-func isConnectErr(err error) bool {
-	var opErr *net.OpError
-	if errors.As(err, &opErr) && opErr.Op == "dial" {
-		return true
+// attemptTrace watches one forward's connection through httptrace and
+// decides whether the backend was never served. Its callbacks run on the
+// transport's goroutines, so the state is atomic.
+type attemptTrace struct {
+	reused       atomic.Bool // the connection already carried an exchange
+	wroteHeaders atomic.Bool
+	gotByte      atomic.Bool // any byte of a response arrived
+}
+
+func (at *attemptTrace) clientTrace() *httptrace.ClientTrace {
+	return &httptrace.ClientTrace{
+		// The transport redoes a request it wrote nothing of on another
+		// connection, so each connection it asks for starts the record
+		// over — including a dial that then fails and never gets one.
+		GetConn: func(string) {
+			at.reused.Store(false)
+			at.wroteHeaders.Store(false)
+			at.gotByte.Store(false)
+		},
+		// Reused alone, not WasIdle: a connection the transport hands
+		// straight from a finished exchange to a waiting request has
+		// WasIdle false, yet the backend sees it idle just the same.
+		GotConn:              func(info httptrace.GotConnInfo) { at.reused.Store(info.Reused) },
+		WroteHeaders:         func() { at.wroteHeaders.Store(true) },
+		GotFirstResponseByte: func() { at.gotByte.Store(true) },
 	}
-	return errors.Is(err, syscall.ECONNREFUSED)
+}
+
+// unsent reports whether a failed attempt provably never reached a
+// handler on the backend — the only failure a non-idempotent request
+// may replay elsewhere. Two cases qualify, both before any response
+// byte: the request's headers never left (dial errors included), or
+// they went out on a reused keep-alive connection and the peer hung up
+// without answering. A Go http.Server closes a connection it is serving
+// only after answering, so that hang-up is the backend closing an idle
+// connection it never read from, or its process exiting with the run
+// dying with it.
+func (at *attemptTrace) unsent(err error) bool {
+	if at.gotByte.Load() {
+		return false
+	}
+	return !at.wroteHeaders.Load() || at.reused.Load() && peerHungUp(err)
+}
+
+// peerHungUp reports the errors a connection ends with when the backend
+// closed it: end of stream, or a reset (which a write meets as EPIPE).
+// "server closed idle connection" is the transport's own name for an end
+// of stream on a pooled connection; it is not exported.
+func peerHungUp(err error) bool {
+	return errors.Is(err, io.EOF) || errors.Is(err, syscall.ECONNRESET) || errors.Is(err, syscall.EPIPE) ||
+		strings.Contains(err.Error(), "server closed idle connection")
 }
 
 // backoff sleeps the k-th retry delay (RetryBase<<k plus up to 50%
@@ -326,8 +379,9 @@ func (rt *Router) backoff(ctx context.Context, attempt int) {
 // attempt forwards one request to one backend and buffers the full
 // response. Buffering is what makes retry safe: nothing is written to
 // the client until a backend answered, so a failed attempt leaves the
-// client connection untouched.
-func (rt *Router) attempt(ctx context.Context, backend int, method, path, reqID, contentType string, body []byte) (*http.Response, []byte, error) {
+// client connection untouched. On failure, unsent reports whether the
+// backend provably never served the request.
+func (rt *Router) attempt(ctx context.Context, backend int, method, path, reqID, contentType string, body []byte) (resp *http.Response, respBody []byte, unsent bool, err error) {
 	rt.requests[backend].Add(1)
 	if obs.Enabled() {
 		obs.ShardRequests.With(strconv.Itoa(backend)).Inc()
@@ -336,24 +390,25 @@ func (rt *Router) attempt(ctx context.Context, backend int, method, path, reqID,
 	if body != nil {
 		rd = bytes.NewReader(body)
 	}
-	req, err := http.NewRequestWithContext(ctx, method, rt.cfg.Backends[backend]+path, rd)
+	var at attemptTrace
+	req, err := http.NewRequestWithContext(httptrace.WithClientTrace(ctx, at.clientTrace()), method, rt.cfg.Backends[backend]+path, rd)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, false, err
 	}
 	if contentType != "" {
 		req.Header.Set("Content-Type", contentType)
 	}
 	req.Header.Set("X-Request-ID", reqID)
-	resp, err := rt.client.Do(req)
+	resp, err = rt.client.Do(req)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, at.unsent(err), err
 	}
 	defer resp.Body.Close()
-	respBody, err := io.ReadAll(resp.Body)
+	respBody, err = io.ReadAll(resp.Body)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, false, err
 	}
-	return resp, respBody, nil
+	return resp, respBody, false, nil
 }
 
 // copyResponse relays a buffered backend response to the client,
@@ -370,10 +425,9 @@ func copyResponse(w http.ResponseWriter, resp *http.Response, body []byte) {
 }
 
 // forwardKeyed routes a buffered POST by its placement key, failing over
-// along the ring's preference order. Only connect errors retry: once a
-// byte has been forwarded the request may have side effects on the
-// backend, and replaying a non-idempotent request is worse than an
-// honest 502.
+// along the ring's preference order. Only unsent attempts retry: once a
+// backend may have served the request it may have side effects there,
+// and replaying a non-idempotent request is worse than an honest 502.
 func (rt *Router) forwardKeyed(w http.ResponseWriter, r *http.Request, path string, body []byte) (*http.Response, []byte, int, bool) {
 	reqID := requestID(r)
 	w.Header().Set("X-Request-ID", reqID)
@@ -398,14 +452,14 @@ func (rt *Router) forwardKeyed(w http.ResponseWriter, r *http.Request, path stri
 				break
 			}
 		}
-		resp, respBody, err := rt.attempt(r.Context(), backend, r.Method, path, reqID, r.Header.Get("Content-Type"), body)
+		resp, respBody, unsent, err := rt.attempt(r.Context(), backend, r.Method, path, reqID, r.Header.Get("Content-Type"), body)
 		if err == nil {
 			rt.health.reportForwardOK(backend)
 			return resp, respBody, backend, true
 		}
 		lastErr = err
-		if !isConnectErr(err) {
-			// A byte may have reached the backend; the run may be
+		if !unsent {
+			// The backend may have served the request; the run may be
 			// executing. Do not replay it elsewhere.
 			writeError(w, http.StatusBadGateway, "backend %d failed mid-request: %v", backend, err)
 			return nil, nil, 0, false
@@ -489,14 +543,14 @@ func (rt *Router) handleSession(w http.ResponseWriter, r *http.Request) {
 				break
 			}
 		}
-		resp, respBody, err := rt.attempt(r.Context(), backend, http.MethodGet, "/v1/sessions/"+id, reqID, "", nil)
+		resp, respBody, unsent, err := rt.attempt(r.Context(), backend, http.MethodGet, "/v1/sessions/"+id, reqID, "", nil)
 		if err == nil {
 			rt.health.reportForwardOK(backend)
 			copyResponse(w, resp, respBody)
 			return
 		}
 		lastErr = err
-		if isConnectErr(err) {
+		if unsent {
 			rt.health.reportConnectError(backend)
 		}
 	}

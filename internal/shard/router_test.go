@@ -1,13 +1,18 @@
 package shard
 
 import (
+	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 )
@@ -380,5 +385,193 @@ func TestPlacementKeyMatchesTierA(t *testing.T) {
 	d := placementKey([]byte(`not json at all`))
 	if d != placementKey([]byte(`not json at all`)) {
 		t.Error("undecodable bodies must still key deterministically")
+	}
+}
+
+// rawBackend is a backend written against raw TCP, so a test controls
+// exactly when a pooled connection closes and how many bytes of an
+// answer leave first. Every connection answers its first request with a
+// keep-alive 200; the second request on it goes to second.
+type rawBackend struct {
+	ln     net.Listener
+	second func(conn net.Conn, br *bufio.Reader)
+	wg     sync.WaitGroup
+}
+
+func newRawBackend(t *testing.T, second func(conn net.Conn, br *bufio.Reader)) *rawBackend {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rb := &rawBackend{ln: ln, second: second}
+	rb.wg.Add(1)
+	go func() {
+		defer rb.wg.Done()
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			rb.wg.Add(1)
+			go func() {
+				defer rb.wg.Done()
+				rb.serve(conn)
+			}()
+		}
+	}()
+	t.Cleanup(func() {
+		ln.Close()
+		rb.wg.Wait()
+	})
+	return rb
+}
+
+func (rb *rawBackend) url() string { return "http://" + rb.ln.Addr().String() }
+
+func (rb *rawBackend) serve(conn net.Conn) {
+	defer conn.Close()
+	br := bufio.NewReader(conn)
+	req, err := http.ReadRequest(br)
+	if err != nil {
+		return
+	}
+	io.Copy(io.Discard, req.Body) //nolint:errcheck
+	const ok = `{"id":"s-raw","status":"ok"}`
+	fmt.Fprintf(conn, "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n%s", len(ok), ok)
+	if _, err := br.Peek(1); err != nil { // the next request's first bytes
+		return
+	}
+	rb.second(conn, br)
+}
+
+// rawRouter puts the raw backend in slot 0 and a normal spare in slot 1,
+// warms one pooled connection to the raw backend, and returns a body the
+// raw backend owns.
+func rawRouter(t *testing.T, rb *rawBackend) (*Router, *stubBackend, string) {
+	t.Helper()
+	spare := newStubBackend(t)
+	spare.mux.HandleFunc("POST /v1/run", func(w http.ResponseWriter, r *http.Request) {
+		fmt.Fprint(w, `{"id":"s-spare","status":"ok"}`)
+	})
+	rt := newTestRouter(t, Config{
+		Backends:       []string{rb.url(), spare.ts.URL},
+		HealthInterval: time.Hour, // probes would open connections of their own
+	})
+	var body string
+	for i := 0; ; i++ {
+		body = fmt.Sprintf(`{"project":"(p%d)"}`, i)
+		if rt.Ring().Prefer(placementKey([]byte(body)))[0] == 0 {
+			break
+		}
+	}
+	if rec := postRun(t, rt.Handler(), body, nil); rec.Code != http.StatusOK {
+		t.Fatalf("warm-up forward: %d %s", rec.Code, rec.Body.String())
+	}
+	return rt, spare, body
+}
+
+// TestIdleCloseBeforeReadFailsOver: a backend that closes a pooled
+// connection without reading the request written on it never served
+// that request, so the router replays it on the next ring preference.
+func TestIdleCloseBeforeReadFailsOver(t *testing.T) {
+	rb := newRawBackend(t, func(net.Conn, *bufio.Reader) {})
+	rt, spare, body := rawRouter(t, rb)
+	rec := postRun(t, rt.Handler(), body, nil)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status = %d (%s), want 200 from the spare", rec.Code, rec.Body.String())
+	}
+	if n := spare.hitCount("/v1/run"); n != 1 {
+		t.Errorf("spare served %d requests, want 1", n)
+	}
+	if st := rt.Stats(); st.Retries != 1 {
+		t.Errorf("retries = %d, want 1", st.Retries)
+	}
+}
+
+// TestIdleCloseAfterPartialAnswerIs502: once any byte of an answer came
+// back the backend served the request, so a connection that then dies
+// gets an honest 502 and no replay.
+func TestIdleCloseAfterPartialAnswerIs502(t *testing.T) {
+	rb := newRawBackend(t, func(conn net.Conn, br *bufio.Reader) {
+		if req, err := http.ReadRequest(br); err == nil {
+			io.Copy(io.Discard, req.Body) //nolint:errcheck
+		}
+		io.WriteString(conn, "HTTP/1.1 200 OK\r\n") //nolint:errcheck
+	})
+	rt, spare, body := rawRouter(t, rb)
+	rec := postRun(t, rt.Handler(), body, nil)
+	if rec.Code != http.StatusBadGateway {
+		t.Fatalf("status = %d (%s), want 502", rec.Code, rec.Body.String())
+	}
+	if n := spare.hitCount("/v1/run"); n != 0 {
+		t.Errorf("request was replayed onto the spare %d times", n)
+	}
+	if st := rt.Stats(); st.Retries != 0 {
+		t.Errorf("retries = %d, want 0", st.Retries)
+	}
+}
+
+// TestUnsentPredicate pins the retry rule case by case, including the
+// orders of events a loopback backend cannot be made to produce on cue
+// (a reset after a response byte reads as an unexpected EOF there).
+func TestUnsentPredicate(t *testing.T) {
+	reset := &net.OpError{Op: "read", Err: syscall.ECONNRESET}
+	for _, c := range []struct {
+		name                   string
+		reused, wrote, gotByte bool
+		err                    error
+		want                   bool
+	}{
+		{"dial error", false, false, false, &net.OpError{Op: "dial", Err: syscall.ECONNREFUSED}, true},
+		{"fresh conn, EOF after headers", false, true, false, io.EOF, false},
+		{"reused conn, EOF after headers", true, true, false, io.EOF, true},
+		{"reused conn, reset after headers", true, true, false, reset, true},
+		{"reused conn, reset after a response byte", true, true, true, reset, false},
+		{"reused conn, EOF after a response byte", true, true, true, io.EOF, false},
+		{"reused conn, other error after headers", true, true, false, errors.New("deadline"), false},
+	} {
+		var at attemptTrace
+		at.reused.Store(c.reused)
+		at.wroteHeaders.Store(c.wrote)
+		at.gotByte.Store(c.gotByte)
+		if got := at.unsent(c.err); got != c.want {
+			t.Errorf("%s: unsent = %v, want %v", c.name, got, c.want)
+		}
+	}
+}
+
+// countingListener counts accepted connections.
+type countingListener struct {
+	net.Listener
+	accepts atomic.Int64
+}
+
+func (cl *countingListener) Accept() (net.Conn, error) {
+	c, err := cl.Listener.Accept()
+	if err == nil {
+		cl.accepts.Add(1)
+	}
+	return c, err
+}
+
+// TestForwardsReusePooledConnection pins the default client's pooling:
+// sequential forwards to one backend share one connection.
+func TestForwardsReusePooledConnection(t *testing.T) {
+	ts := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		fmt.Fprint(w, `{"id":"s-1","status":"ok"}`)
+	}))
+	cl := &countingListener{Listener: ts.Listener}
+	ts.Listener = cl
+	ts.Start()
+	t.Cleanup(ts.Close)
+	rt := newTestRouter(t, Config{Backends: []string{ts.URL}, HealthInterval: time.Hour})
+	for i := 0; i < 20; i++ {
+		if rec := postRun(t, rt.Handler(), fmt.Sprintf(`{"project":"(p%d)"}`, i), nil); rec.Code != http.StatusOK {
+			t.Fatalf("forward %d: %d %s", i, rec.Code, rec.Body.String())
+		}
+	}
+	if n := cl.accepts.Load(); n != 1 {
+		t.Errorf("20 sequential forwards opened %d connections, want 1", n)
 	}
 }
