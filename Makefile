@@ -17,25 +17,26 @@ race:
 
 # check is the pre-merge gate: vet everything, run the race detector over
 # the packages with real concurrency (the worker pool with its chunked
-# dispatch, the MapReduce engine, the interpreter, the bytecode machine
-# with its shared lowered programs, the ring compiler, the parallel
-# blocks, the observability registry with its 64-goroutine hammer, the
-# program cache with its singleflight front, and the execution service
-# and the shard router with its concurrent failover e2e, plus the
-# evolutionary stress engine itself), shuffled so inter-test ordering
-# dependencies can't hide, repeat the router's failover tests so the race
-# between a backend closing a pooled connection and the router writing
-# to it keeps getting exercised, then give both differential fuzzers —
-# compiled-vs-interpreted rings and lowered-vs-tree-walked scripts — a
-# short burst, and finish with the deterministic-seed cross-tier stress
-# soak.
+# dispatch, the MapReduce engine and its simulated cluster, the
+# interpreter, the bytecode machine with its shared lowered programs, the
+# ring compiler, the parallel blocks, the observability registry with its
+# 64-goroutine hammer, the program cache with its singleflight front, and
+# the execution service and the shard router with its concurrent failover
+# e2e, plus the evolutionary stress engine itself), shuffled so
+# inter-test ordering dependencies can't hide, repeat the router's
+# failover tests so the race between a backend closing a pooled
+# connection and the router writing to it keeps getting exercised, then
+# give both differential fuzzers — compiled-vs-interpreted rings and
+# lowered-vs-tree-walked scripts — a short burst, and finish with the
+# deterministic-seed cross-tier stress soak.
 check:
 	$(GO) vet ./...
 	$(GO) test -race -shuffle=on ./internal/workers/... ./internal/mapreduce/... \
-		./internal/interp/... ./internal/compile/... ./internal/core/... \
-		./internal/vm/... ./internal/progcache/... ./internal/runtime/... \
-		./internal/server/... ./internal/obs/... ./internal/shard/... \
-		./internal/evo/... ./internal/value/... ./internal/ingest/...
+		./internal/dist/... ./internal/interp/... ./internal/compile/... \
+		./internal/core/... ./internal/vm/... ./internal/progcache/... \
+		./internal/runtime/... ./internal/server/... ./internal/obs/... \
+		./internal/shard/... ./internal/evo/... ./internal/value/... \
+		./internal/ingest/...
 	$(GO) test -race -count=10 -run 'E2EFailover|KillDuringTraffic|IdleClose' ./internal/shard
 	$(GO) test -run '^$$' -fuzz FuzzCompileRing -fuzztime 5s ./internal/compile/
 	$(GO) test -run '^$$' -fuzz FuzzLowerProject -fuzztime 5s ./internal/vm/
@@ -43,9 +44,9 @@ check:
 
 # stress runs the evolutionary cross-tier differential engine
 # (docs/TESTING.md) as a fixed-seed soak: every evolved program executes
-# under all four tiers (tree, vm, sequential kernels, live session +
-# cache replay) and any divergence is shrunk, persisted to the committed
-# corpus, and fails the build. The fixed seed makes CI runs reproducible.
+# under all four tiers (tree, vm, vm with observability off, live
+# session + cache replay) and any divergence is shrunk, persisted to the
+# committed corpus, and fails the build. The fixed seed makes CI runs reproducible.
 stress:
 	$(GO) run ./cmd/snapstress -seed 1 -duration 60s -min-programs 1000 \
 		-corpus internal/evo/corpus -q

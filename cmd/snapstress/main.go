@@ -1,6 +1,6 @@
 // Command snapstress soaks the engine with the evolutionary cross-tier
 // stress search: evolved block programs run through the tree-walker, the
-// bytecode vm, the sequential compiled kernels, and a live in-process
+// bytecode vm with observability on and off, and a live in-process
 // snapserved session (twice, for cache-replay identity), with any
 // divergence shrunk to a minimal reproducer and persisted to the fuzz
 // corpus.

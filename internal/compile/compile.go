@@ -67,11 +67,10 @@ func ring(r *blocks.Ring) (Fn, string, bool) {
 		return nil, reason, false
 	}
 	return func(args []value.Value) (value.Value, error) {
-		e := envPool.Get().(*env)
+		e := envPool.Get().(*rootEnv)
 		e.args = args
-		v, err := ex(e)
-		e.release()
-		envPool.Put(e)
+		v, err := ex(&e.env)
+		e.put()
 		if v == nil && err == nil {
 			// Mirror Process.Result(): a detached evaluation that
 			// produced no value reports Nothing.
@@ -81,57 +80,54 @@ func ring(r *blocks.Ring) (Fn, string, bool) {
 	}, "", true
 }
 
-// SeqRing compiles a shipped reporter ring once and returns a factory of
-// sequential kernels. Each factory call mints an independent caller that
-// owns one environment and reuses it for every call, skipping the pool
-// round trip Ring pays, which is sound as long as that caller's calls
-// never overlap or nest:
-// the compiled subset cannot let the environment escape a call — rings
-// flowing as values are refused ("ring-value"), so no closure survives the
-// return — and cannot re-enter the kernel (custom-block calls are outside
-// the subset). Callers are cheap to mint (two allocations); concurrent
-// users pool them rather than share one. SeqRing is unmetered: the
-// general-purpose compile of the same ring every caller also performs (see
-// Ring) is the tier decision's single metering point.
-func SeqRing(r *blocks.Ring) (func() Fn, bool) {
+// UnaryFn is a compiled reporter ring called with one argument. Like Fn
+// it is safe for concurrent calls and clones nothing.
+type UnaryFn func(arg value.Value) (value.Value, error)
+
+// UnaryRing compiles a shipped reporter ring for one-argument calls — the
+// mapReduce block's mapper and reducer. The argument sits in the pooled
+// environment's own slot, so a call allocates no argument slice.
+// UnaryRing is unmetered: the compile of the same ring every caller also
+// performs (see Ring) is the tier decision's single metering point.
+func UnaryRing(r *blocks.Ring) (UnaryFn, bool) {
 	ex, _, ok := ringBody(r)
 	if !ok {
 		return nil, false
 	}
-	return func() Fn {
-		e := newEnv()
-		return func(args []value.Value) (value.Value, error) {
-			e.args = args
-			v, err := ex(e)
-			e.release()
-			if v == nil && err == nil {
-				// Mirror Process.Result(), as ring does.
-				v = value.TheNothing
-			}
-			return v, err
+	return func(arg value.Value) (value.Value, error) {
+		e := argEnv(arg)
+		v, err := ex(&e.env)
+		e.put()
+		if v == nil && err == nil {
+			v = value.TheNothing // as ring does
 		}
+		return v, err
 	}, true
 }
 
-// MapFn is a keyed sequential map kernel: one call maps one item to one
-// (key, value) pair, the mapReduce block's mapper convention already
-// applied (see core.RingMapper).
-type MapFn func(args []value.Value) (string, value.Value, error)
+// MapFn is a keyed map kernel: one call maps one item to one (key, value)
+// pair, the mapReduce block's mapper convention (see Keyed) already
+// applied. Like Fn it is safe for concurrent calls and clones nothing.
+type MapFn func(item value.Value) (string, value.Value, error)
 
-// SeqMapperRing compiles a shipped map ring for the mapReduce block's
-// sequential fast path, fusing the mapper convention into the kernel: a
-// body that is literally `list A B` evaluates A and B and reports (A's
-// display string, B) without materializing the two-element pair list every
-// call just to take it apart again; any other body evaluates whole and is
-// keyed by the convention at run time (a two-element list is (key, value),
-// anything else maps the item to the shared "" key). Factory semantics and
-// the sequential-use contract are those of SeqRing.
-func SeqMapperRing(r *blocks.Ring) (func() MapFn, bool) {
-	if r == nil || r.Body == nil || r.Env != nil {
-		return nil, false
+// Keyed applies the mapReduce block's mapper convention to a map ring's
+// result: a two-element list supplies (key, value), anything else maps to
+// the single shared "" key.
+func Keyed(v value.Value) (string, value.Value) {
+	if l, ok := v.(*value.List); ok && l.Len() == 2 {
+		return l.MustItem(1).String(), l.MustItem(2)
 	}
-	if b, ok := r.Body.(*blocks.Block); ok && b.Op == "reportNewList" && len(b.Inputs) == 2 {
-		// One scope across both inputs, exactly as the generic apply would
+	return "", v
+}
+
+// MapperRing compiles a shipped map ring into a keyed map kernel. A body
+// that is literally `list A B` evaluates A and B and reports (A's display
+// string, B) without materializing the two-element pair list every call
+// just to take it apart again; any other body runs as its UnaryRing and
+// is keyed by Keyed. Unmetered, like UnaryRing.
+func MapperRing(r *blocks.Ring) (MapFn, bool) {
+	if b, ok := r.Body.(*blocks.Block); ok && r.Env == nil && b.Op == "reportNewList" && len(b.Inputs) == 2 {
+		// One scope across both inputs, exactly as the whole body would
 		// compile them: the implicit-slot cursor advances in order.
 		sc := &scope{params: r.Params, fail: new(string)}
 		ka, ok := compileNode(b.Input(0), sc)
@@ -142,45 +138,36 @@ func SeqMapperRing(r *blocks.Ring) (func() MapFn, bool) {
 		if !ok {
 			return nil, false
 		}
-		return func() MapFn {
-			e := newEnv()
-			return func(args []value.Value) (string, value.Value, error) {
-				e.args = args
-				av, err := ka(e)
-				if err != nil {
-					e.release()
-					return "", nil, err
-				}
-				bv, err := kb(e)
-				e.release()
-				if err != nil {
-					return "", nil, err
-				}
-				return av.String(), bv, nil
+		return func(item value.Value) (string, value.Value, error) {
+			e := argEnv(item)
+			av, err := ka(&e.env)
+			var bv value.Value
+			if err == nil {
+				bv, err = kb(&e.env)
 			}
-		}, true
-	}
-	fac, ok := SeqRing(r)
-	if !ok {
-		return nil, false
-	}
-	return func() MapFn {
-		fn := fac()
-		return func(args []value.Value) (string, value.Value, error) {
-			v, err := fn(args)
+			e.put()
 			if err != nil {
 				return "", nil, err
 			}
-			if l, ok := v.(*value.List); ok && l.Len() == 2 {
-				return l.MustItem(1).String(), l.MustItem(2), nil
-			}
-			return "", v, nil
+			return av.String(), bv, nil
+		}, true
+	}
+	fn, ok := UnaryRing(r)
+	if !ok {
+		return nil, false
+	}
+	return func(item value.Value) (string, value.Value, error) {
+		v, err := fn(item)
+		if err != nil {
+			return "", nil, err
 		}
+		k, v := Keyed(v)
+		return k, v, nil
 	}, true
 }
 
-// ringBody compiles the ring's body to one expr, shared by the concurrent
-// and sequential callers.
+// ringBody compiles the ring's body to one expr, shared by Ring and
+// UnaryRing.
 func ringBody(r *blocks.Ring) (expr, string, bool) {
 	if r == nil || r.Body == nil {
 		return nil, "empty", false
@@ -221,19 +208,39 @@ type env struct {
 // than len(buf) evaluated inputs at once push without allocating.
 type rootEnv struct {
 	env
+	arg [1]value.Value // the argument of a one-argument call (argEnv)
 	buf [4]value.Value
 }
 
-func newEnv() *env {
+func newRootEnv() *rootEnv {
 	r := &rootEnv{}
 	r.stack = r.buf[:0]
-	return &r.env
+	return r
 }
 
 // envPool recycles root envs across the calls of concurrently shared
-// kernels (Ring). Reuse is sound for the reason SeqRing gives: no env
-// outlives the call that took it.
-var envPool = sync.Pool{New: func() any { return newEnv() }}
+// kernels (Ring, UnaryRing, MapperRing). Reuse is sound because no env
+// outlives the call that took it: the compiled subset cannot let the
+// environment escape a call — rings flowing as values are refused
+// ("ring-value"), so no closure survives the return — and cannot re-enter
+// the kernel (custom-block calls are outside the subset).
+var envPool = sync.Pool{New: func() any { return newRootEnv() }}
+
+// argEnv takes a pooled env for a one-argument call, holding the argument
+// in the env's own slot so the call allocates no argument slice.
+func argEnv(arg value.Value) *rootEnv {
+	e := envPool.Get().(*rootEnv)
+	e.arg[0] = arg
+	e.args = e.arg[:]
+	return e
+}
+
+// put releases e and returns it to envPool.
+func (e *rootEnv) put() {
+	e.arg[0] = nil
+	e.release()
+	envPool.Put(e)
+}
 
 // release drops every value a finished call left in a reused env, so a
 // pooled kernel pins nothing between calls.

@@ -12,9 +12,10 @@ import (
 
 // TestOperandStack drives bodies that outgrow the environment's inline
 // operand buffer — a wide join of sums, and hof bodies whose arguments sit
-// on the stack — through the pooled concurrent kernel and through one
-// reused sequential caller, with a different argument on every call. Each
-// result must match the interpreter's.
+// on the stack — through the pooled concurrent kernel and through the
+// keyed map kernel, whose argument also sits on the stack, with a
+// different argument on every call, sequentially and from concurrent
+// goroutines. Each result must match the interpreter's.
 func TestOperandStack(t *testing.T) {
 	parts := make([]blocks.Node, 6)
 	for i := range parts {
@@ -37,14 +38,20 @@ func TestOperandStack(t *testing.T) {
 			return v.String()
 		}
 		fn := mustCompile(t, r)
-		fac, ok := SeqRing(r)
+		mf, ok := MapperRing(r)
 		if !ok {
-			t.Fatalf("SeqRing refused %s", r)
+			t.Fatalf("MapperRing refused %s", r)
 		}
-		seq := fac()
+		keyed := func(args []value.Value) (value.Value, error) {
+			k, v, err := mf(args[0])
+			if err == nil && k != "" {
+				err = fmt.Errorf("scalar result keyed %q, want the shared \"\" key", k)
+			}
+			return v, err
+		}
 		for x := 1; x <= 5; x++ {
 			w := want(x)
-			for name, f := range map[string]Fn{"ring": fn, "seq": seq} {
+			for name, f := range map[string]Fn{"ring": fn, "keyed": keyed} {
 				v, err := f([]value.Value{value.NumInt(x)})
 				if err != nil || v.String() != w {
 					t.Fatalf("%s(%d) of %s = %v, %v; want %s", name, x, r, v, err, w)
@@ -63,9 +70,13 @@ func TestOperandStack(t *testing.T) {
 				defer wg.Done()
 				for i := 0; i < 200; i++ {
 					x := (g*7+i)%len(wants) + 1
-					v, err := fn([]value.Value{value.NumInt(x)})
+					f := fn
+					if i%2 == 1 {
+						f = keyed
+					}
+					v, err := f([]value.Value{value.NumInt(x)})
 					if err != nil || v.String() != wants[x-1] {
-						errs <- fmt.Errorf("ring(%d) = %v, %v; want %s", x, v, err, wants[x-1])
+						errs <- fmt.Errorf("kernel(%d) = %v, %v; want %s", x, v, err, wants[x-1])
 						return
 					}
 				}
@@ -99,7 +110,7 @@ func TestOperandStackBalanced(t *testing.T) {
 		if !ok {
 			t.Fatalf("refused (%s): %s", reason, body.Describe())
 		}
-		e := newEnv()
+		e := &newRootEnv().env
 		e.args = []value.Value{value.Num(3)}
 		for i := 0; i < 3; i++ {
 			ex(e)

@@ -76,10 +76,10 @@ func RingChunkHandler(r *blocks.Ring) workers.ChunkHandler {
 }
 
 // ringCallFunc builds the plain call-shaped view of a shipped ring used by
-// the mapReduce adapters and parallelCombine's reducer: the compiled
-// closure when available, else interp.CallFunction. Callers sit behind a
-// worker boundary that already cloned the arguments, so the compiled tier's
-// no-clone contract is safe here.
+// parallelCombine's reducer: the compiled closure when available, else
+// interp.CallFunction. Callers sit behind a worker boundary that already
+// cloned the arguments, so the compiled tier's no-clone contract is safe
+// here.
 func ringCallFunc(shipped *blocks.Ring) func(args []value.Value) (value.Value, error) {
 	if fn, ok := progcache.CompileShipped(shipped); ok {
 		return fn

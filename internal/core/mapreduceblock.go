@@ -2,14 +2,13 @@ package core
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/blocks"
 	"repro/internal/compile"
 	"repro/internal/interp"
 	"repro/internal/mapreduce"
-	"repro/internal/obs"
+	"repro/internal/progcache"
 	"repro/internal/value"
 	"repro/internal/vm"
 	"repro/internal/workers"
@@ -62,60 +61,49 @@ func (job *mrJob) start(list *value.List, mf mapreduce.Mapper, rf mapreduce.Redu
 	}()
 }
 
-// seqKernels is one pooled pair of sequential map/reduce kernels for
-// mapreduce.RunSeq: each caller reuses its call environment, so a pair
-// serves one evaluation at a time and goes back to the pool.
-type seqKernels struct {
-	m compile.MapFn
-	r compile.Fn
+// poll reports the job's outcome once it has resolved.
+func (job *mrJob) poll() (value.Value, bool, error) {
+	if !job.resolved.Load() {
+		return nil, false, nil
+	}
+	return job.result, true, job.err
+}
+
+// runMapReduce is the mapReduce block's dispatch, shared by the tree
+// primitive and the bytecode machine (vm.MRCall's contract): a small input
+// completes synchronously, a larger one starts a polled job. Small inputs
+// run the engine on the calling goroutine because the goroutine hand-off
+// plus the poll/yield scheduler rounds cost more than the whole job.
+// Nothing runs concurrently with the caller, and the map phase clones each
+// item before the mapper sees it, so the defensive whole-list clone is
+// also unnecessary.
+func runMapReduce(p *interp.Process, list *value.List, mf mapreduce.Mapper, rf mapreduce.Reducer) (value.Value, func() (value.Value, bool, error), error) {
+	label := traceLabel(p)
+	if list.Len() <= syncMapReduceMax {
+		res, err := mapreduce.Run(list, mf, rf, mapreduce.Config{Workers: 1, Label: label})
+		if err != nil {
+			return nil, nil, err
+		}
+		return mrResult(res), nil, nil
+	}
+	job := &mrJob{}
+	job.start(list, mf, rf, label)
+	return nil, job.poll, nil
 }
 
 // lowerMapReduce is the bytecode machine's engine adapter (see
-// vm.SetMapReduceLowerer): the ring kernels compile once per lowered
-// program, and each dispatch either completes synchronously (small input)
-// or starts the same polled job the tree primitive uses.
-//
-// When both rings compile, small inputs take mapreduce.RunSeq with pooled
-// sequential kernels — pooled, not shared, because the lowered program
-// (and so this closure) is cached by content and may be executing on many
-// machines at once. The engine proper handles interpreter-tier rings, and
-// every run with observability on, so spans and phase metrics stay
-// complete.
+// vm.SetMapReduceLowerer): the ring kernels are built once per lowered
+// program, and each dispatch runs runMapReduce. The kernels are safe for
+// concurrent calls, because the lowered program (and so this closure) is
+// cached by content and may be executing on many machines at once.
 func lowerMapReduce(mapRing, reduceRing *blocks.Ring) vm.MRCall {
 	mf, rf := RingMapper(mapRing), RingReducer(reduceRing)
-	var seqPool *sync.Pool
-	if mfac, ok := compile.SeqMapperRing(ShipRing(mapRing)); ok {
-		if rfac, ok := compile.SeqRing(ShipRing(reduceRing)); ok {
-			seqPool = &sync.Pool{New: func() any { return &seqKernels{m: mfac(), r: rfac()} }}
-		}
-	}
 	return func(p *interp.Process, lv value.Value) (value.Value, func() (value.Value, bool, error), error) {
 		list, err := interp.AsList(lv)
 		if err != nil {
 			return nil, nil, err
 		}
-		if list.Len() <= syncMapReduceMax {
-			var res mapreduce.Result
-			if seqPool != nil && !obs.Enabled() {
-				k := seqPool.Get().(*seqKernels)
-				res, err = mapreduce.RunSeq(list, k.m, k.r)
-				seqPool.Put(k)
-			} else {
-				res, err = mapreduce.Run(list, mf, rf, mapreduce.Config{Workers: 1, Label: traceLabel(p)})
-			}
-			if err != nil {
-				return nil, nil, err
-			}
-			return mrResult(res), nil, nil
-		}
-		job := &mrJob{}
-		job.start(list, mf, rf, traceLabel(p))
-		return nil, func() (value.Value, bool, error) {
-			if !job.resolved.Load() {
-				return nil, false, nil
-			}
-			return job.result, true, job.err
-		}, nil
+		return runMapReduce(p, list, mf, rf)
 	}
 }
 
@@ -124,27 +112,36 @@ func lowerMapReduce(mapRing, reduceRing *blocks.Ring) vm.MRCall {
 // and the result as the value." A ring returning a two-element list
 // supplies (key, value) explicitly; a ring returning a scalar maps to the
 // single shared key, which is how a whole-dataset reduction (the climate
-// average) is expressed.
+// average) is expressed (compile.Keyed). A ring the compile tier accepts
+// runs as its keyed kernel (compile.MapperRing).
 func RingMapper(r *blocks.Ring) mapreduce.Mapper {
-	call := ringCallFunc(ShipRing(r))
-	return func(item value.Value) ([]mapreduce.KVP, error) {
-		v, err := call([]value.Value{item})
+	shipped := ShipRing(r)
+	if _, ok := progcache.CompileShipped(shipped); ok {
+		if mf, ok := compile.MapperRing(shipped); ok {
+			return mapreduce.Mapper(mf)
+		}
+	}
+	return func(item value.Value) (string, value.Value, error) {
+		v, err := interp.CallFunction(shipped, []value.Value{item}, WorkerBudget)
 		if err != nil {
-			return nil, err
+			return "", nil, err
 		}
-		if l, ok := v.(*value.List); ok && l.Len() == 2 {
-			return []mapreduce.KVP{{Key: l.MustItem(1).String(), Val: l.MustItem(2)}}, nil
-		}
-		return []mapreduce.KVP{{Key: "", Val: v}}, nil
+		k, v := compile.Keyed(v)
+		return k, v, nil
 	}
 }
 
 // RingReducer adapts a user reduce ring: it is called once per key with the
 // list of that key's values.
 func RingReducer(r *blocks.Ring) mapreduce.Reducer {
-	call := ringCallFunc(ShipRing(r))
+	shipped := ShipRing(r)
+	if _, ok := progcache.CompileShipped(shipped); ok {
+		if fn, ok := compile.UnaryRing(shipped); ok {
+			return func(key string, vals *value.List) (value.Value, error) { return fn(vals) }
+		}
+	}
 	return func(key string, vals *value.List) (value.Value, error) {
-		return call([]value.Value{vals})
+		return interp.CallFunction(shipped, []value.Value{vals}, WorkerBudget)
 	}
 }
 
@@ -170,31 +167,15 @@ func primMapReduce(p *interp.Process, ctx *interp.Context) (value.Value, interp.
 		if err != nil {
 			return nil, interp.Done, err
 		}
-		mf, rf := RingMapper(mapRing), RingReducer(reduceRing)
-		label := traceLabel(p)
-		if list.Len() <= syncMapReduceMax {
-			// Small inputs run the engine synchronously on this goroutine:
-			// the goroutine hand-off plus the poll/yield scheduler rounds
-			// cost more than the whole job. Nothing runs concurrently with
-			// the caller, and the map phase clones each item before the
-			// mapper sees it, so the defensive whole-list clone is also
-			// unnecessary.
-			res, err := mapreduce.Run(list, mf, rf, mapreduce.Config{Workers: 1, Label: label})
-			if err != nil {
-				return nil, interp.Done, err
-			}
-			return mrResult(res), interp.Done, nil
+		v, poll, err := runMapReduce(p, list, RingMapper(mapRing), RingReducer(reduceRing))
+		if err != nil || poll == nil {
+			return v, interp.Done, err
 		}
-		job := &mrJob{}
-		job.start(list, mf, rf, label)
-		ctx.Inputs = append(ctx.Inputs, &value.Opaque{Tag: "mapReduceJob", Payload: job})
+		ctx.Inputs = append(ctx.Inputs, &value.Opaque{Tag: "mapReduceJob", Payload: poll})
 	} else {
-		job := ctx.Inputs[argc].(*value.Opaque).Payload.(*mrJob)
-		if job.resolved.Load() {
-			if job.err != nil {
-				return nil, interp.Done, job.err
-			}
-			return job.result, interp.Done, nil
+		poll := ctx.Inputs[argc].(*value.Opaque).Payload.(func() (value.Value, bool, error))
+		if v, done, err := poll(); done {
+			return v, interp.Done, err
 		}
 	}
 	p.PushYield()

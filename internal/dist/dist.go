@@ -127,9 +127,15 @@ func MapReduce(input *value.List, m mapreduce.Mapper, r mapreduce.Reducer, cfg C
 	}
 
 	stats := Stats{PairsPerNode: make([]int64, nodes)}
-	// inboxes[k] collects the pairs shuffled to node k.
-	inboxes := make([][]mapreduce.KVP, nodes)
-	var inboxMu sync.Mutex
+	// inboxes[dst][p] holds the pairs partition p shuffled to node dst.
+	// Each slot has one writer (whichever node maps partition p), and
+	// reading an owner's slots in partition order hands every key's values
+	// to its reducer in input order — the order single-node Run uses — no
+	// matter which node finishes first or re-executes a crashed partition.
+	inboxes := make([][][]mapreduce.KVP, nodes)
+	for k := range inboxes {
+		inboxes[k] = make([][]mapreduce.KVP, nodes)
+	}
 	var shuffleMsgs, shuffleBytes atomic.Int64
 	errs := make([]error, nodes)
 	crashed := map[int]bool{}
@@ -139,15 +145,13 @@ func MapReduce(input *value.List, m mapreduce.Mapper, r mapreduce.Reducer, cfg C
 		}
 	}
 
-	// mapPartition runs one partition's map phase on behalf of `node`
-	// and shuffles the intermediate pairs.
-	mapPartition := func(node int, part *value.List) error {
-		mid, err := mapreduce.MapOnly(part, m, cfg.WorkersPerNode)
+	// mapPartition runs partition p's map phase on behalf of `node` and
+	// shuffles the intermediate pairs.
+	mapPartition := func(node, p int) error {
+		mid, err := mapreduce.MapOnly(parts[p], m, cfg.WorkersPerNode)
 		if err != nil {
 			return fmt.Errorf("node %d map: %w", node, err)
 		}
-		// Bucket locally, then send each bucket.
-		buckets := make([][]mapreduce.KVP, nodes)
 		for _, kv := range mid {
 			dst := owner(kv.Key, nodes)
 			if dst != node {
@@ -156,13 +160,8 @@ func MapReduce(input *value.List, m mapreduce.Mapper, r mapreduce.Reducer, cfg C
 				// Structured clone across the node boundary.
 				kv.Val = value.CloneValue(kv.Val)
 			}
-			buckets[dst] = append(buckets[dst], kv)
+			inboxes[dst][p] = append(inboxes[dst][p], kv)
 		}
-		inboxMu.Lock()
-		for dst, b := range buckets {
-			inboxes[dst] = append(inboxes[dst], b...)
-		}
-		inboxMu.Unlock()
 		return nil
 	}
 
@@ -179,7 +178,7 @@ func MapReduce(input *value.List, m mapreduce.Mapper, r mapreduce.Reducer, cfg C
 				failed[node] = true
 				return
 			}
-			if err := mapPartition(node, parts[node]); err != nil {
+			if err := mapPartition(node, node); err != nil {
 				errs[node] = err
 			}
 		}(k)
@@ -210,7 +209,7 @@ func MapReduce(input *value.List, m mapreduce.Mapper, r mapreduce.Reducer, cfg C
 			return nil, stats, fmt.Errorf("all %d nodes crashed; nothing can re-execute", nodes)
 		}
 		stats.Reexecutions++
-		if err := mapPartition(replacement, parts[node]); err != nil {
+		if err := mapPartition(replacement, node); err != nil {
 			return nil, stats, err
 		}
 	}
@@ -220,11 +219,15 @@ func MapReduce(input *value.List, m mapreduce.Mapper, r mapreduce.Reducer, cfg C
 	// Phase 3: local sort + reduce on each node.
 	partials := make([]mapreduce.Result, nodes)
 	for k := 0; k < nodes; k++ {
-		stats.PairsPerNode[k] = int64(len(inboxes[k]))
+		var in []mapreduce.KVP
+		for _, box := range inboxes[k] {
+			in = append(in, box...)
+		}
+		stats.PairsPerNode[k] = int64(len(in))
 		wg.Add(1)
 		go func(node int) {
 			defer wg.Done()
-			res, err := mapreduce.ReduceSorted(inboxes[node], r, cfg.WorkersPerNode)
+			res, err := mapreduce.ReduceSorted(in, r, cfg.WorkersPerNode)
 			if err != nil {
 				errs[node] = fmt.Errorf("node %d reduce: %w", node, err)
 				return

@@ -108,8 +108,8 @@ func TestDefaultsAndClamping(t *testing.T) {
 
 func TestErrorsPropagate(t *testing.T) {
 	in := words("a b c d")
-	badMap := func(value.Value) ([]mapreduce.KVP, error) {
-		return nil, errors.New("map boom")
+	badMap := func(value.Value) (string, value.Value, error) {
+		return "", nil, errors.New("map boom")
 	}
 	if _, _, err := MapReduce(in, badMap, mapreduce.SumReduce, Config{Nodes: 2}); err == nil {
 		t.Error("map error should propagate")
@@ -125,11 +125,11 @@ func TestErrorsPropagate(t *testing.T) {
 func TestInputNotMutated(t *testing.T) {
 	in := value.NewList(value.NewList(value.Text("nested")))
 	before := in.String()
-	_, _, err := MapReduce(in, func(v value.Value) ([]mapreduce.KVP, error) {
+	_, _, err := MapReduce(in, func(v value.Value) (string, value.Value, error) {
 		if l, ok := v.(*value.List); ok {
 			l.Add(value.Text("mutant")) // node mutates ITS copy
 		}
-		return []mapreduce.KVP{{Key: "k", Val: value.Number(1)}}, nil
+		return "k", value.Number(1), nil
 	}, mapreduce.SumReduce, Config{Nodes: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -218,5 +218,35 @@ func TestNodeFailureRecovery(t *testing.T) {
 	if _, stats3, err := MapReduce(in, mapreduce.WordCount, mapreduce.SumReduce,
 		Config{Nodes: 2, WorkersPerNode: 1, FailMapOn: []int{99}}); err != nil || stats3.Reexecutions != 0 {
 		t.Errorf("bogus crash id: %v, %d", err, stats3.Reexecutions)
+	}
+}
+
+// TestValueOrderMatchesSingleNode pins the order a key's values reach its
+// reducer: input order, as in single-node Run, however the nodes' map
+// phases interleave and even when a crashed partition re-executes last.
+// IdentityReduce reports the whole group, so any reordering shows.
+func TestValueOrderMatchesSingleNode(t *testing.T) {
+	xs := make([]float64, 4000)
+	for i := range xs {
+		xs[i] = float64(i)
+	}
+	in := value.FromFloats(xs)
+	single, err := mapreduce.Run(in, mapreduce.SingleKey, mapreduce.IdentityReduce, mapreduce.Config{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := single[0].Val.String()
+	for run := 0; run < 50; run++ {
+		cfg := Config{Nodes: 4}
+		if run == 0 {
+			cfg.FailMapOn = []int{0}
+		}
+		res, _, err := MapReduce(in, mapreduce.SingleKey, mapreduce.IdentityReduce, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res) != 1 || res[0].Key != "" || res[0].Val.String() != want {
+			t.Fatalf("run %d (FailMapOn %v): values reached the reducer out of input order", run, cfg.FailMapOn)
+		}
 	}
 }

@@ -7,8 +7,8 @@
 //
 //	tree    the tree-walking interpreter (vm off)
 //	vm      the flat bytecode machine (vm on)
-//	kernel  the bytecode machine with observability off, which unlocks
-//	        the compiled sequential mapReduce kernels (RunSeq)
+//	kernel  the bytecode machine with observability off, which pins that
+//	        instrumentation changes no result
 //	serve   a live in-process snapserved session over POST /v1/run —
 //	        twice, so a cache-replay answer must equal a cold one
 //
@@ -262,9 +262,10 @@ func (e *engine) evalScript(script *blocks.Script) (fit float64, detail string) 
 		return 0, d
 	}
 
-	// Kernel tier: obs off is what routes sync mapReduce through the
-	// compiled sequential kernels, the one code path the vm tier's
-	// instrumented run cannot take.
+	// Kernel tier: the vm again with observability off. Every engine
+	// path is the same with the switch off or on, so this pins that
+	// instrumentation (spans, phase metrics, compile counters) changes no
+	// result.
 	obs.SetEnabled(false)
 	kern, _ := oracle.Run(script, true)
 	obs.SetEnabled(true)

@@ -1,27 +1,17 @@
 package mapreduce
 
-// Columnar fast path: when the input list carries a raw []float64 or
-// []string column (see value.List) and both kernels have registered
-// column-native variants, the whole pipeline runs over flat arrays — no
-// per-item boxing, no per-pair KVP slices, no per-group value lists. The
-// observable contract (key order, error wording, panic containment,
-// telemetry shape) is pin-identical to the generic Run; the registry is
-// the assertion that a column kernel computes exactly what its boxed
-// counterpart computes, which holds for every stock mapper/reducer
-// registered below.
+// Column kernels: when the input list carries a raw []float64 or []string
+// column (see value.List) and both stock kernels have registered
+// column-native variants, Run feeds those variants to the same pipeline
+// with a float64 value column — no per-item boxing and no per-group value
+// lists. The registry is the assertion that a column kernel computes
+// exactly what its boxed counterpart computes (keys, values, errors),
+// which holds for every stock mapper/reducer registered below.
 
 import (
-	"fmt"
 	"reflect"
-	"slices"
-	"strings"
-	"sync"
-	"sync/atomic"
-	"time"
 
-	"repro/internal/obs"
 	"repro/internal/value"
-	"repro/internal/workers"
 )
 
 // FloatMapper is the columnar form of a one-in-one-out Mapper over a
@@ -98,17 +88,7 @@ func init() {
 		return value.NumInt(len(vals)), nil
 	})
 	RegisterFloatReducer(AvgReduce, func(key string, vals []float64) (value.Value, error) {
-		if len(vals) == 0 {
-			return value.Number(0), nil
-		}
-		if len(vals) > 4096 {
-			var sum float64
-			for _, f := range vals {
-				sum += f
-			}
-			return value.Number(sum / float64(len(vals))), nil
-		}
-		return value.Number(recAvg(vals)), nil
+		return value.Number(avgFloats(vals)), nil
 	})
 	RegisterFloatReducer(IdentityReduce, func(key string, vals []float64) (value.Value, error) {
 		if len(vals) == 1 {
@@ -118,240 +98,29 @@ func init() {
 	})
 }
 
-// columnRun is a planned columnar pipeline: a mapper over column index
-// plus a column reducer.
-type columnRun struct {
-	n    int
-	mapf func(i int) (string, float64, error)
-	fr   FloatReducer
-}
-
-// planColumnRun reports whether input, m, and r can run the columnar
-// pipeline: the input must carry a column and both kernels must have
+// planColumnRun reports whether input, m, and r can run on a float64 value
+// column: the input must carry a column and both kernels must have
 // registered column variants for that column's type.
-func planColumnRun(input *value.List, m Mapper, r Reducer) (columnRun, bool) {
+func planColumnRun(input *value.List, m Mapper, r Reducer) (kernels[float64], bool) {
 	fr, ok := floatReducers[fnPtr(r)]
 	if !ok {
-		return columnRun{}, false
+		return kernels[float64]{}, false
 	}
 	if xs, isNum := input.FloatsView(); isNum {
 		fm, ok := floatMappers[fnPtr(m)]
-		if !ok {
-			return columnRun{}, false
-		}
-		return columnRun{
-			n:    len(xs),
-			mapf: func(i int) (string, float64, error) { return fm(xs[i]) },
-			fr:   fr,
-		}, true
+		return kernels[float64]{
+			n:      len(xs),
+			mapf:   func(i int) (string, float64, error) { return fm(xs[i]) },
+			reduce: fr,
+		}, ok
 	}
 	if ss, isStr := input.StringsView(); isStr {
 		sm, ok := stringMappers[fnPtr(m)]
-		if !ok {
-			return columnRun{}, false
-		}
-		return columnRun{
-			n:    len(ss),
-			mapf: func(i int) (string, float64, error) { return sm(ss[i]) },
-			fr:   fr,
-		}, true
+		return kernels[float64]{
+			n:      len(ss),
+			mapf:   func(i int) (string, float64, error) { return sm(ss[i]) },
+			reduce: fr,
+		}, ok
 	}
-	return columnRun{}, false
-}
-
-// colGroup is one shuffle bucket of the columnar pipeline; its values live
-// in a shared backing array at [off, off+n).
-type colGroup struct {
-	key          string
-	n, off, fill int
-}
-
-// run executes the columnar pipeline with the same phase structure,
-// telemetry, and error discipline as the generic Run.
-func (c columnRun) run(w int, cfg Config) (Result, error) {
-	tracing := obs.Enabled()
-	var tStart, tMapDone, tShuffleDone time.Time
-	if tracing {
-		obs.MRRuns.Inc()
-		tStart = time.Now()
-	}
-	keys := make([]string, c.n)
-	vals := make([]float64, c.n)
-	if err := c.mapColumn(w, keys, vals); err != nil {
-		return nil, err
-	}
-	if tracing {
-		tMapDone = time.Now()
-		obs.MRPhaseSeconds.With("map").Observe(tMapDone.Sub(tStart).Seconds())
-	}
-	groups, backing := shuffleColumns(keys, vals)
-	if tracing {
-		tShuffleDone = time.Now()
-		obs.MRPhaseSeconds.With("shuffle").Observe(tShuffleDone.Sub(tMapDone).Seconds())
-		if len(groups) > 0 && c.n > 0 {
-			maxLen := 0
-			for _, g := range groups {
-				if g.n > maxLen {
-					maxLen = g.n
-				}
-			}
-			obs.MRBucketSkew.Observe(float64(maxLen) * float64(len(groups)) / float64(c.n))
-		}
-	}
-	out := make(Result, len(groups))
-	err := runPhase(len(groups), w, func(i int) error {
-		g := groups[i]
-		v, rerr := safeColReduce(c.fr, g.key, backing[g.off:g.off+g.n:g.off+g.n])
-		if rerr != nil {
-			return fmt.Errorf("reduce key %q: %w", g.key, rerr)
-		}
-		if v == nil {
-			v = value.TheNothing
-		}
-		out[i] = KVP{Key: g.key, Val: value.CloneValue(v)}
-		return nil
-	})
-	if err != nil {
-		out = nil
-	}
-	if tracing {
-		end := time.Now()
-		obs.MRPhaseSeconds.With("reduce").Observe(end.Sub(tShuffleDone).Seconds())
-		status := "ok"
-		if err != nil {
-			status = "error"
-		}
-		obs.RecordSpan(obs.Span{
-			ID:    cfg.Label,
-			Kind:  "mapReduce",
-			Start: tStart,
-			Dur:   end.Sub(tStart),
-			Attrs: []obs.Attr{
-				obs.AttrInt("items", int64(c.n)),
-				obs.AttrInt("pairs", int64(c.n)),
-				obs.AttrInt("keys", int64(len(groups))),
-				obs.AttrInt("workers", int64(w)),
-				{Key: "status", Val: status},
-			},
-		})
-	}
-	return out, err
-}
-
-// mapColumn fills keys[i], vals[i] = mapf(i) across w executors, chunked
-// like runPhase. Panic containment is per chunk (one deferred recover per
-// claim instead of per item), with the in-flight index pinned so the error
-// text matches the generic phase exactly.
-func (c columnRun) mapColumn(w int, keys []string, vals []float64) error {
-	n := c.n
-	runChunk := func(lo, hi int) (err error) {
-		cur := lo
-		defer func() {
-			if r := recover(); r != nil {
-				err = fmt.Errorf("map item %d: %w", cur+1, fmt.Errorf("mapper panic: %v", r))
-			}
-		}()
-		for ; cur < hi; cur++ {
-			k, v, merr := c.mapf(cur)
-			if merr != nil {
-				return fmt.Errorf("map item %d: %w", cur+1, merr)
-			}
-			keys[cur], vals[cur] = k, v
-		}
-		return nil
-	}
-	if w > n {
-		w = n
-	}
-	if w <= 1 {
-		return runChunk(0, n)
-	}
-	grain := phaseGrain(n, w)
-	errs := make([]error, w)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	pool := workers.SharedPool()
-	wg.Add(w)
-	for k := 0; k < w; k++ {
-		worker := k
-		pool.Submit(func() {
-			defer wg.Done()
-			for {
-				lo := int(next.Add(int64(grain))) - grain
-				if lo >= n {
-					return
-				}
-				hi := lo + grain
-				if hi > n {
-					hi = n
-				}
-				if err := runChunk(lo, hi); err != nil {
-					errs[worker] = err
-					return
-				}
-			}
-		})
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// shuffleColumns groups the emitted pairs by key — same semantics as
-// groupByKey (values in emission order, distinct keys sorted) — laying
-// every group's values out in one float backing array.
-func shuffleColumns(keys []string, vals []float64) ([]colGroup, []float64) {
-	var groups []colGroup
-	gidx := make([]int32, len(keys))
-	idx := make(map[string]int, 8)
-	// last memoizes the previous pair's group: single-key and run-keyed
-	// workloads pay one map lookup per run instead of one per pair.
-	last := -1
-	for i, k := range keys {
-		g := last
-		if g < 0 || groups[g].key != k {
-			var ok bool
-			g, ok = idx[k]
-			if !ok {
-				g = len(groups)
-				idx[k] = g
-				groups = append(groups, colGroup{key: k})
-			}
-			last = g
-		}
-		groups[g].n++
-		gidx[i] = int32(g)
-	}
-	// Sort the distinct keys, then renumber the per-pair group indices
-	// through the permutation before the scatter pass.
-	perm := make([]int32, len(groups))
-	slices.SortFunc(groups, func(a, b colGroup) int { return strings.Compare(a.key, b.key) })
-	for sorted, g := range groups {
-		perm[idx[g.key]] = int32(sorted)
-	}
-	off := 0
-	for j := range groups {
-		groups[j].off = off
-		off += groups[j].n
-	}
-	backing := make([]float64, len(vals))
-	for i, v := range vals {
-		g := &groups[perm[gidx[i]]]
-		backing[g.off+g.fill] = v
-		g.fill++
-	}
-	return groups, backing
-}
-
-func safeColReduce(fr FloatReducer, key string, vals []float64) (v value.Value, err error) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			err = fmt.Errorf("reducer panic: %v", rec)
-		}
-	}()
-	return fr(key, vals)
+	return kernels[float64]{}, false
 }

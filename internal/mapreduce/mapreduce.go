@@ -35,11 +35,11 @@ func (k KVP) String() string {
 	return k.Key + ": " + k.Val.String()
 }
 
-// Mapper transforms one input item into zero or more intermediate pairs.
-// The paper's mappers are one-in-one-out ("the map function is executed for
-// each item in the supplied list, mapping the item to a value"); returning
-// a slice additionally supports the general Hadoop-style contract.
-type Mapper func(item value.Value) ([]KVP, error)
+// Mapper maps one input item to one intermediate (key, value) pair — the
+// paper's one-in-one-out contract ("the map function is executed for each
+// item in the supplied list, mapping the item to a value") and the shape of
+// the generated OpenMP `int map(KVP *in, KVP *out)`.
+type Mapper func(item value.Value) (key string, val value.Value, err error)
 
 // Reducer folds all values that share a key into one value. "Unlike the map
 // function, the computation it performs may depend upon previous items."
@@ -48,7 +48,8 @@ type Reducer func(key string, vals *value.List) (value.Value, error)
 // Config tunes a run.
 type Config struct {
 	// Workers is the parallelism of the map and reduce phases;
-	// 0 means workers.DefaultWorkers().
+	// 0 means workers.DefaultWorkers(). 1 runs every phase on the calling
+	// goroutine.
 	Workers int
 	// Label tags the run's trace span (see internal/obs); the mapReduce
 	// block passes the owning session's trace ID through here.
@@ -84,9 +85,21 @@ func (r Result) Strings() []string {
 	return out
 }
 
+// kernels is what one run executes: mapf maps input item i to its pair and
+// reduce folds one key's values. The value column V is value.Value for a
+// general Mapper/Reducer and float64 for registered column kernels (see
+// columnar.go); either way the pipeline around them is the same.
+type kernels[V any] struct {
+	n      int
+	mapf   func(i int) (string, V, error)
+	reduce func(key string, vals []V) (value.Value, error)
+}
+
 // Run executes the full pipeline: parallel map, sort by key, group,
 // parallel reduce. Items cross the worker boundary by structured clone in
-// both phases, matching the Web-Worker discipline of §4.
+// both phases, matching the Web-Worker discipline of §4. A column-backed
+// input whose mapper and reducer have registered column kernels runs the
+// same pipeline over flat arrays.
 func Run(input *value.List, m Mapper, r Reducer, cfg Config) (Result, error) {
 	if m == nil {
 		m = Identity
@@ -98,11 +111,38 @@ func Run(input *value.List, m Mapper, r Reducer, cfg Config) (Result, error) {
 	if w <= 0 {
 		w = workers.DefaultWorkers()
 	}
-	// Columnar fast path: a column-backed input with column-native
-	// kernels runs the whole pipeline over flat arrays (see columnar.go).
-	if plan, ok := planColumnRun(input, m, r); ok {
-		return plan.run(w, cfg)
+	if k, ok := planColumnRun(input, m, r); ok {
+		return run(k, w, cfg.Label)
 	}
+	return run(kernels[value.Value]{n: input.Len(), mapf: boxedMap(input, m), reduce: boxedReduce(r)}, w, cfg.Label)
+}
+
+// boxedMap is the general map kernel: the mapper sees a private clone of
+// item i, and the value it emits is cloned on the way out.
+func boxedMap(input *value.List, m Mapper) func(i int) (string, value.Value, error) {
+	items := input.Items()
+	return func(i int) (string, value.Value, error) {
+		k, v, err := m(value.CloneValue(items[i]))
+		if err != nil {
+			return "", nil, err
+		}
+		return k, value.CloneValue(v), nil
+	}
+}
+
+// boxedReduce is the general reduce kernel. The group's values were cloned
+// when they left the map phase and the shuffle hands each group a capped
+// sub-slice of its own backing array, so the reducer gets a private list
+// without another defensive clone.
+func boxedReduce(r Reducer) func(key string, vals []value.Value) (value.Value, error) {
+	return func(key string, vals []value.Value) (value.Value, error) {
+		return r(key, value.AdoptSlice(vals))
+	}
+}
+
+// run is the one pipeline: map, shuffle, reduce, with the phase telemetry
+// recorded around them.
+func run[V any](k kernels[V], w int, label string) (Result, error) {
 	// Phase telemetry: one atomic load up front; everything else only
 	// runs (and only allocates) while the observability switch is on.
 	tracing := obs.Enabled()
@@ -111,31 +151,30 @@ func Run(input *value.List, m Mapper, r Reducer, cfg Config) (Result, error) {
 		obs.MRRuns.Inc()
 		tStart = time.Now()
 	}
-	mid, err := mapPhase(input, m, w)
-	if err != nil {
+	p := newPipeline(k)
+	defer p.release()
+	if err := p.mapPhase(w); err != nil {
 		return nil, err
 	}
 	if tracing {
 		tMapDone = time.Now()
 		obs.MRPhaseSeconds.With("map").Observe(tMapDone.Sub(tStart).Seconds())
 	}
-	// "The elements of the intermediate result are sorted by the value
-	// of the key in between the map function and the reduce function"
-	// (footnote 6). Hash-group first and sort only the distinct keys:
-	// the observable output — keys in sorted order, each key's values in
-	// map-emission order — is identical to stable-sorting all n records,
-	// but the sort is over k distinct keys instead of n pairs, which for
-	// low-cardinality workloads (word count, the single-key climate
-	// average) removes the dominant O(n log n) term of the shuffle.
-	groups := groupByKey(mid)
+	p.shuffle()
 	if tracing {
 		tShuffleDone = time.Now()
 		obs.MRPhaseSeconds.With("shuffle").Observe(tShuffleDone.Sub(tMapDone).Seconds())
-		if skew, ok := bucketSkew(groups, len(mid)); ok {
-			obs.MRBucketSkew.Observe(skew)
+		if len(p.groups) > 0 {
+			// Bucket skew: the largest group over the mean group size;
+			// 1 is perfectly balanced.
+			maxLen := 0
+			for _, g := range p.groups {
+				maxLen = max(maxLen, g.end-g.off)
+			}
+			obs.MRBucketSkew.Observe(float64(maxLen) * float64(len(p.groups)) / float64(k.n))
 		}
 	}
-	out, err := reducePhase(groups, r, w)
+	err := p.reducePhase(w)
 	if tracing {
 		end := time.Now()
 		obs.MRPhaseSeconds.With("reduce").Observe(end.Sub(tShuffleDone).Seconds())
@@ -144,194 +183,227 @@ func Run(input *value.List, m Mapper, r Reducer, cfg Config) (Result, error) {
 			status = "error"
 		}
 		obs.RecordSpan(obs.Span{
-			ID:    cfg.Label,
+			ID:    label,
 			Kind:  "mapReduce",
 			Start: tStart,
 			Dur:   end.Sub(tStart),
 			Attrs: []obs.Attr{
-				obs.AttrInt("items", int64(input.Len())),
-				obs.AttrInt("pairs", int64(len(mid))),
-				obs.AttrInt("keys", int64(len(groups))),
+				obs.AttrInt("items", int64(k.n)),
+				obs.AttrInt("pairs", int64(k.n)),
+				obs.AttrInt("keys", int64(len(p.groups))),
 				obs.AttrInt("workers", int64(w)),
 				{Key: "status", Val: status},
 			},
 		})
 	}
-	return out, err
+	if err != nil {
+		return nil, err
+	}
+	return p.out, nil
 }
 
-// RunSeq executes the whole pipeline synchronously on the calling
-// goroutine with direct single-result kernel calls (the compile tier's Fn
-// shape), fusing map and shuffle into one pass. It exists for the
-// mapReduce block's small-input fast path: Run with Workers 1 still pays a
-// per-item argument slice, an intermediate KVP slice per call, and a fresh
-// call environment inside the adapter closures; RunSeq calls each kernel
-// with one reused argument buffer and buckets the pair as it is emitted.
-//
-// mcall is a keyed kernel with the block's mapper convention already
-// applied (compile.SeqMapperRing); rcall is called with each key's value
-// list. Observable behavior — item/value clone discipline, panic
-// containment, error wording, key order — is pin-identical to
-// Run(input, RingMapper(m), RingReducer(r), Config{Workers: 1}).
-//
-// RunSeq records no telemetry; callers fall back to Run when the
-// observability switch is on so spans and phase metrics stay complete.
-func RunSeq(input *value.List, mcall func(args []value.Value) (string, value.Value, error), rcall func(args []value.Value) (value.Value, error)) (out Result, err error) {
-	// Items() on a column-backed input materializes the memoized boxed
-	// view once — the same one-boxing-per-element cost a boxed list paid
-	// at construction — and CloneValue's scalar elision keeps the per-call
-	// clone free. Boxing per iteration instead (closures over the raw
-	// column) measures strictly worse here: the kernels take []Value args,
-	// so every element gets boxed either way, and the view is boxed once.
-	items := input.Items()
-	n := len(items)
-	// One recover for the whole run replaces the per-call defer of
-	// safeMap/safeReduce; the cursors pin which call blew up so the error
-	// text stays identical.
-	phase, cur, curKey := "mapper", 0, ""
-	defer func() {
-		if r := recover(); r != nil {
-			inner := fmt.Errorf("%s panic: %v", phase, r)
-			if phase == "mapper" {
-				err = fmt.Errorf("map item %d: %w", cur+1, inner)
-			} else {
-				err = fmt.Errorf("reduce key %q: %w", curKey, inner)
-			}
-			out = nil
-		}
-	}()
-	// Every kernel call emits exactly one pair, so the pair count is n and
-	// the emission buffers fit the sync path's stack arrays.
-	var argv [1]value.Value
-	var keyStore [smallShuffle]string
-	var valStore [smallShuffle]value.Value
-	keys, vals := keyStore[:0], valStore[:0]
-	if n > smallShuffle {
-		keys, vals = make([]string, 0, n), make([]value.Value, 0, n)
-	}
-	for ; cur < n; cur++ {
-		argv[0] = value.CloneValue(items[cur])
-		key, v, cerr := mcall(argv[:])
-		if cerr != nil {
-			return nil, fmt.Errorf("map item %d: %w", cur+1, cerr)
-		}
-		keys = append(keys, key)
-		vals = append(vals, value.CloneValue(v))
-	}
-	// Shuffle: count each key's pairs (linear scan with a last-pair memo,
-	// as groupSmall), sort the distinct keys, then lay every group's values
-	// out in one backing array in emission order. The per-group lists are
-	// capped sub-slices, so a reducer growing its list reallocates
-	// privately.
-	type bucket struct {
-		key          string
-		n, off, fill int
-	}
-	var bstore [smallShuffle]bucket
-	buckets := bstore[:0]
-	last := -1
-	for _, k := range keys {
-		g := last
-		if g < 0 || buckets[g].key != k {
-			g = -1
-			for j := range buckets {
-				if buckets[j].key == k {
-					g = j
-					break
-				}
-			}
-			if g < 0 {
-				g = len(buckets)
-				buckets = append(buckets, bucket{key: k})
-			}
-			last = g
-		}
-		buckets[g].n++
-	}
-	slices.SortFunc(buckets, func(a, b bucket) int { return strings.Compare(a.key, b.key) })
-	off := 0
-	for j := range buckets {
-		buckets[j].off = off
-		off += buckets[j].n
-	}
-	backing := make([]value.Value, n)
-	last = -1
-	for i, k := range keys {
-		g := last
-		if g < 0 || buckets[g].key != k {
-			for j := range buckets {
-				if buckets[j].key == k {
-					g = j
-					break
-				}
-			}
-			last = g
-		}
-		b := &buckets[g]
-		backing[b.off+b.fill] = vals[i]
-		b.fill++
-	}
-	phase = "reducer"
-	out = make(Result, len(buckets))
-	for i := range buckets {
-		b := &buckets[i]
-		curKey = b.key
-		argv[0] = value.AdoptSlice(backing[b.off : b.off+b.n : b.off+b.n])
-		v, cerr := rcall(argv[:])
-		if cerr != nil {
-			return nil, fmt.Errorf("reduce key %q: %w", b.key, cerr)
-		}
-		if v == nil {
-			v = value.TheNothing
-		}
-		out[i] = KVP{Key: b.key, Val: value.CloneValue(v)}
-	}
-	return out, nil
-}
-
-// bucketSkew measures shuffle imbalance: the largest key group's size
-// over the mean group size. 1 is perfectly balanced; the single-key
-// pattern (climate average) reports the group count.
-func bucketSkew(groups []group, pairs int) (float64, bool) {
-	if len(groups) == 0 || pairs == 0 {
-		return 0, false
-	}
-	maxLen := 0
-	for _, g := range groups {
-		if n := g.vals.Len(); n > maxLen {
-			maxLen = n
-		}
-	}
-	mean := float64(pairs) / float64(len(groups))
-	return float64(maxLen) / mean, true
-}
-
-// MapOnly runs just the parallel map phase, returning the unsorted
-// intermediate pairs. Package dist uses it to run the map phase locally on
-// each simulated cluster node before shuffling by key.
+// MapOnly runs just the map phase, returning the unsorted intermediate
+// pairs in item order. Package dist uses it to run the map phase locally
+// on each simulated cluster node before shuffling by key.
 func MapOnly(input *value.List, m Mapper, workers int) ([]KVP, error) {
 	if m == nil {
 		m = Identity
 	}
-	if workers <= 0 {
-		workers = 1
+	p := newPipeline(kernels[value.Value]{n: input.Len(), mapf: boxedMap(input, m)})
+	defer p.release()
+	if err := p.mapPhase(max(workers, 1)); err != nil {
+		return nil, err
 	}
-	return mapPhase(input, m, workers)
+	mid := make([]KVP, p.n)
+	for i, k := range p.keys {
+		mid[i] = KVP{Key: k, Val: p.vals[i]}
+	}
+	return mid, nil
 }
 
-// ReduceSorted sorts intermediate pairs by key, groups them, and runs the
-// parallel reduce phase — the second half of Run, exposed for distributed
-// execution.
+// ReduceSorted shuffles intermediate pairs by key and runs the reduce
+// phase — the second half of Run, exposed for distributed execution. mid
+// is left untouched.
 func ReduceSorted(mid []KVP, r Reducer, workers int) (Result, error) {
 	if r == nil {
 		r = IdentityReduce
 	}
-	if workers <= 0 {
-		workers = 1
+	p := newPipeline(kernels[value.Value]{n: len(mid), reduce: boxedReduce(r)})
+	defer p.release()
+	for i, kv := range mid {
+		p.keys[i], p.vals[i] = kv.Key, kv.Val
 	}
-	// Same hash-group-then-sort-keys shuffle as Run; mid is left
-	// untouched, so no defensive copy is needed.
-	return reducePhase(groupByKey(mid), r, workers)
+	p.shuffle()
+	if err := p.reducePhase(max(workers, 1)); err != nil {
+		return nil, err
+	}
+	return p.out, nil
+}
+
+// pipeline is one run's state. Its two parallel steps, mapStep and
+// reduceStep, are views of the same struct.
+type pipeline[V any] struct {
+	kernels[V]
+	*scratch
+	vals    []V // item i's mapped value; its key is keys[i]
+	backing []V
+	out     Result
+}
+
+// scratch is a run's key-side working memory: the key each item mapped
+// to, each pair's group, and the groups. None of it outlives the run, so
+// runs recycle it through scratchPool. Besides the pipeline itself, a run
+// then allocates only its value column, the shuffle's backing array and
+// its result.
+type scratch struct {
+	keys   []string
+	gidx   []int32
+	groups []group
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// newPipeline sets up a run of k over k.n items.
+func newPipeline[V any](k kernels[V]) *pipeline[V] {
+	s := scratchPool.Get().(*scratch)
+	s.keys = slices.Grow(s.keys, k.n)[:k.n]
+	s.gidx = slices.Grow(s.gidx, k.n)[:k.n]
+	return &pipeline[V]{kernels: k, scratch: s, vals: make([]V, k.n)}
+}
+
+// release returns the scratch to the pool without the keys it references.
+func (p *pipeline[V]) release() {
+	s := p.scratch
+	clear(s.keys)
+	clear(s.groups)
+	s.keys, s.gidx, s.groups = s.keys[:0], s.gidx[:0], s.groups[:0]
+	p.scratch = nil
+	scratchPool.Put(s)
+}
+
+// group is one key's values in the shuffle's backing array,
+// backing[off:end], in map-emission order.
+type group struct {
+	key      string
+	off, end int
+}
+
+// step is one parallel phase: run processes index i, and where names index
+// i in error text.
+type step interface {
+	run(i int) error
+	where(i int) string
+}
+
+type mapStep[V any] pipeline[V]
+
+func (s *mapStep[V]) run(i int) (err error) {
+	s.keys[i], s.vals[i], err = s.mapf(i)
+	return err
+}
+
+func (s *mapStep[V]) where(i int) string { return fmt.Sprintf("map item %d", i+1) }
+
+type reduceStep[V any] pipeline[V]
+
+func (s *reduceStep[V]) run(g int) error {
+	grp := s.groups[g]
+	v, err := s.reduce(grp.key, s.backing[grp.off:grp.end:grp.end])
+	if err != nil {
+		return err
+	}
+	if v == nil {
+		v = value.TheNothing
+	}
+	s.out[g] = KVP{Key: grp.key, Val: value.CloneValue(v)}
+	return nil
+}
+
+func (s *reduceStep[V]) where(g int) string { return fmt.Sprintf("reduce key %q", s.groups[g].key) }
+
+// mapPhase fills keys[i], vals[i] with item i's mapped pair.
+func (p *pipeline[V]) mapPhase(w int) error {
+	return runPhase(p.n, w, "mapper", (*mapStep[V])(p))
+}
+
+// reducePhase folds each group into out, in sorted key order.
+func (p *pipeline[V]) reducePhase(w int) error {
+	p.out = make(Result, len(p.groups))
+	return runPhase(len(p.groups), w, "reducer", (*reduceStep[V])(p))
+}
+
+// scanKeys is the distinct-key count up to which the shuffle finds a key's
+// group by scanning the groups: for a handful of keys the scan is
+// cache-resident, where a hash index costs three allocations and most of
+// a microsecond before its first lookup.
+const scanKeys = 16
+
+// shuffle groups the intermediate pairs by key. "The elements of the
+// intermediate result are sorted by the value of the key in between the
+// map function and the reduce function" (footnote 6): the observable
+// output — keys in sorted order, each key's values in map-emission order —
+// is identical to stable-sorting all n pairs, but the comparison sort
+// touches only the k distinct keys, which for low-cardinality workloads
+// (word count, the single-key climate average) removes the dominant
+// O(n log n) term. One pass buckets and counts the pairs, one scatter pass
+// lays every group's values out contiguously in a single backing array,
+// and then the groups are sorted by key; a group carries its own bounds,
+// so the backing array never moves.
+func (p *pipeline[V]) shuffle() {
+	groups := p.groups[:0]
+	var idx map[string]int32 // built once the groups outgrow the scan
+	// last memoizes the previous pair's group: mappers that emit one key
+	// for everything (the global-average pattern) or keys in runs pay one
+	// lookup per run instead of one per pair.
+	last := int32(-1)
+	for i, k := range p.keys {
+		g := last
+		if g < 0 || groups[g].key != k {
+			g = -1
+			if idx != nil {
+				if j, ok := idx[k]; ok {
+					g = j
+				}
+			} else {
+				for j := range groups {
+					if groups[j].key == k {
+						g = int32(j)
+						break
+					}
+				}
+			}
+			if g < 0 {
+				g = int32(len(groups))
+				groups = append(groups, group{key: k})
+				if idx != nil {
+					idx[k] = g
+				} else if len(groups) > scanKeys {
+					idx = make(map[string]int32, 2*len(groups))
+					for j, gr := range groups {
+						idx[gr.key] = int32(j)
+					}
+				}
+			}
+			last = g
+		}
+		groups[g].end++ // counts the group's pairs until the scatter
+		p.gidx[i] = g
+	}
+	off := 0
+	for j := range groups {
+		g := &groups[j]
+		n := g.end
+		g.off, g.end = off, off // end is the scatter cursor
+		off += n
+	}
+	p.backing = make([]V, len(p.vals))
+	for i, v := range p.vals {
+		g := &groups[p.gidx[i]]
+		p.backing[g.end] = v
+		g.end++
+	}
+	slices.SortFunc(groups, func(a, b group) int { return strings.Compare(a.key, b.key) })
+	p.groups = groups
 }
 
 // phaseGrain is how many records one executor claims per fetch-add in the
@@ -339,39 +411,18 @@ func ReduceSorted(mid []KVP, r Reducer, workers int) (Result, error) {
 // pool's dynamic assignment does; small enough that skewed groups still
 // balance across workers.
 func phaseGrain(n, w int) int {
-	g := n / (w * 4)
-	if g < 1 {
-		g = 1
-	}
-	if g > 64 {
-		g = 64
-	}
-	return g
+	return min(max(n/(w*4), 1), 64)
 }
 
-// runPhase executes fn(i) for i in [0, n) across w executors on the
+// runPhase executes s.run(i) for i in [0, n) across w executors on the
 // persistent worker pool, each claiming grain-sized chunks off a shared
-// counter. fn returning an error stops that executor; the first error in
-// executor order is returned.
-func runPhase(n, w int, fn func(i int) error) error {
-	if w > n {
-		w = n
-	}
-	if w < 1 {
-		w = 1
-	}
-	if n == 0 {
-		return nil
-	}
-	// One executor needs no pool dispatch, shared counter, or WaitGroup —
-	// a plain loop on the calling goroutine has the same semantics.
-	if w == 1 {
-		for i := 0; i < n; i++ {
-			if err := fn(i); err != nil {
-				return err
-			}
-		}
-		return nil
+// counter. The first error in executor order is returned.
+func runPhase(n, w int, kernel string, s step) error {
+	w = min(w, n)
+	if w <= 1 {
+		// One executor needs no pool dispatch, shared counter, or
+		// WaitGroup: one chunk on the calling goroutine.
+		return runChunk(s, kernel, 0, n)
 	}
 	grain := phaseGrain(n, w)
 	errs := make([]error, w)
@@ -388,15 +439,9 @@ func runPhase(n, w int, fn func(i int) error) error {
 				if lo >= n {
 					return
 				}
-				hi := lo + grain
-				if hi > n {
-					hi = n
-				}
-				for i := lo; i < hi; i++ {
-					if err := fn(i); err != nil {
-						errs[worker] = err
-						return
-					}
+				if err := runChunk(s, kernel, lo, min(lo+grain, n)); err != nil {
+					errs[worker] = err
+					return
 				}
 			}
 		})
@@ -410,192 +455,23 @@ func runPhase(n, w int, fn func(i int) error) error {
 	return nil
 }
 
-func mapPhase(input *value.List, m Mapper, w int) ([]KVP, error) {
-	n := input.Len()
-	items := input.Items()
-	if w <= 1 || n <= 1 {
-		// Sequential map: emit straight into the intermediate slice
-		// instead of per-item parts that are flattened afterwards.
-		mid := make([]KVP, 0, n)
-		for i := 0; i < n; i++ {
-			kvs, err := safeMap(m, value.CloneValue(items[i]))
-			if err != nil {
-				return nil, fmt.Errorf("map item %d: %w", i+1, err)
-			}
-			for j := range kvs {
-				kvs[j].Val = value.CloneValue(kvs[j].Val)
-			}
-			mid = append(mid, kvs...)
-		}
-		return mid, nil
-	}
-	parts := make([][]KVP, n)
-	err := runPhase(n, w, func(i int) error {
-		item := items[i]
-		kvs, err := safeMap(m, value.CloneValue(item))
-		if err != nil {
-			return fmt.Errorf("map item %d: %w", i+1, err)
-		}
-		for j := range kvs {
-			kvs[j].Val = value.CloneValue(kvs[j].Val)
-		}
-		parts[i] = kvs
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	total := 0
-	for _, p := range parts {
-		total += len(p)
-	}
-	mid := make([]KVP, 0, total)
-	for _, p := range parts {
-		mid = append(mid, p...)
-	}
-	return mid, nil
-}
-
-func safeMap(m Mapper, item value.Value) (kvs []KVP, err error) {
+// runChunk runs s over [lo, hi). One deferred recover contains the
+// kernel's panics for the whole chunk, the loop cursor pinning which call
+// failed: an error or panic at i becomes "<where(i)>: ..." and ends the
+// chunk.
+func runChunk(s step, kernel string, lo, hi int) (err error) {
+	i := lo
 	defer func() {
 		if r := recover(); r != nil {
-			err = fmt.Errorf("mapper panic: %v", r)
+			err = fmt.Errorf("%s: %s panic: %v", s.where(i), kernel, r)
 		}
 	}()
-	return m(item)
-}
-
-type group struct {
-	key  string
-	vals *value.List
-}
-
-// smallShuffle is the pair count below which the shuffle groups by linear
-// scan instead of a hash index: for a handful of distinct keys the scan is
-// cache-resident and skips the map allocation and per-key hashing.
-const smallShuffle = 64
-
-// groupByKey is the shuffle: it buckets the intermediate pairs by key in
-// one pass (appending each value in emission order) and then sorts the
-// distinct keys. Equivalent to stable-sorting mid by key and grouping
-// adjacent runs, but the comparison sort touches only the k unique keys.
-func groupByKey(mid []KVP) []group {
-	var groups []group
-	if len(mid) <= smallShuffle {
-		groups = groupSmall(mid)
-	} else {
-		groups = groupHashed(mid)
-	}
-	slices.SortFunc(groups, func(a, b group) int { return strings.Compare(a.key, b.key) })
-	return groups
-}
-
-// groupSmall buckets by scanning the group slice directly. The first pass
-// counts each key's pairs so the second allocates every value list at its
-// exact size; the memo of the previous pair's group keeps single-key and
-// run-keyed workloads O(n).
-func groupSmall(mid []KVP) []group {
-	type bucket struct {
-		key string
-		n   int
-	}
-	var store [smallShuffle]bucket
-	counts := store[:0]
-	last := -1
-	for _, kv := range mid {
-		g := last
-		if g < 0 || counts[g].key != kv.Key {
-			g = -1
-			for j := range counts {
-				if counts[j].key == kv.Key {
-					g = j
-					break
-				}
-			}
-			if g < 0 {
-				g = len(counts)
-				counts = append(counts, bucket{key: kv.Key})
-			}
-			last = g
+	for ; i < hi; i++ {
+		if err := s.run(i); err != nil {
+			return fmt.Errorf("%s: %w", s.where(i), err)
 		}
-		counts[g].n++
 	}
-	groups := make([]group, len(counts))
-	for i, b := range counts {
-		groups[i] = group{key: b.key, vals: value.NewListCap(b.n)}
-	}
-	last = -1
-	for _, kv := range mid {
-		g := last
-		if g < 0 || groups[g].key != kv.Key {
-			for j := range groups {
-				if groups[j].key == kv.Key {
-					g = j
-					break
-				}
-			}
-			last = g
-		}
-		groups[g].vals.Add(kv.Val)
-	}
-	return groups
-}
-
-func groupHashed(mid []KVP) []group {
-	idx := make(map[string]int)
-	var groups []group
-	// last memoizes the group of the previous pair: mappers that emit one
-	// key for everything (the global-average pattern) or keys in runs pay
-	// one map lookup per run instead of one per pair.
-	last := -1
-	for _, kv := range mid {
-		g := last
-		if g < 0 || groups[g].key != kv.Key {
-			var ok bool
-			g, ok = idx[kv.Key]
-			if !ok {
-				g = len(groups)
-				idx[kv.Key] = g
-				groups = append(groups, group{key: kv.Key, vals: value.NewList()})
-			}
-			last = g
-		}
-		groups[g].vals.Add(kv.Val)
-	}
-	return groups
-}
-
-func reducePhase(groups []group, r Reducer, w int) (Result, error) {
-	n := len(groups)
-	out := make(Result, n)
-	err := runPhase(n, w, func(i int) error {
-		g := groups[i]
-		// The group lists are engine-built in groupByKey and their values
-		// were already cloned when they crossed out of the map phase, so
-		// the reducer sees private data without another defensive clone.
-		v, err := safeReduce(r, g.key, g.vals)
-		if err != nil {
-			return fmt.Errorf("reduce key %q: %w", g.key, err)
-		}
-		if v == nil {
-			v = value.TheNothing
-		}
-		out[i] = KVP{Key: g.key, Val: value.CloneValue(v)}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-func safeReduce(r Reducer, key string, vals *value.List) (v value.Value, err error) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			err = fmt.Errorf("reducer panic: %v", rec)
-		}
-	}()
-	return r(key, vals)
+	return nil
 }
 
 // --- stock mappers and reducers ---
@@ -603,30 +479,30 @@ func safeReduce(r Reducer, key string, vals *value.List) (v value.Value, err err
 // Identity maps each item to itself under its display string as key — the
 // identity function §3.4 notes "passes its input argument through
 // unchanged".
-func Identity(item value.Value) ([]KVP, error) {
-	return []KVP{{Key: item.String(), Val: item}}, nil
+func Identity(item value.Value) (string, value.Value, error) {
+	return item.String(), item, nil
 }
 
 // SingleKey maps every item to one shared key (the empty string), putting
 // the whole dataset in one reduction group — how the climate example's
 // single average is expressed.
-func SingleKey(item value.Value) ([]KVP, error) {
-	return []KVP{{Key: "", Val: item}}, nil
+func SingleKey(item value.Value) (string, value.Value, error) {
+	return "", item, nil
 }
 
 // WordCount maps a word to (word, 1) — the canonical example of Figure 11.
-func WordCount(item value.Value) ([]KVP, error) {
-	return []KVP{{Key: item.String(), Val: value.NumInt(1)}}, nil
+func WordCount(item value.Value) (string, value.Value, error) {
+	return item.String(), value.NumInt(1), nil
 }
 
 // FahrenheitToCelsius maps a °F reading to ("", °C) for a global average,
 // the Figure 13 mapper: out->val = ((5 * (in->val - 32)) / 9).
-func FahrenheitToCelsius(item value.Value) ([]KVP, error) {
+func FahrenheitToCelsius(item value.Value) (string, value.Value, error) {
 	f, err := value.ToNumber(item)
 	if err != nil {
-		return nil, err
+		return "", nil, err
 	}
-	return []KVP{{Key: "", Val: (5 * (f - 32)) / 9}}, nil
+	return "", (5 * (f - 32)) / 9, nil
 }
 
 // IdentityReduce reports the group's values unchanged (a single value
@@ -668,17 +544,23 @@ func AvgReduce(key string, vals *value.List) (value.Value, error) {
 	if err != nil {
 		return nil, err
 	}
+	return value.Number(avgFloats(fs)), nil
+}
+
+// avgFloats is AvgReduce's arithmetic, shared with its registered column
+// kernel.
+func avgFloats(fs []float64) float64 {
 	if len(fs) == 0 {
-		return value.Number(0), nil
+		return 0
 	}
 	if len(fs) > 4096 {
 		var sum float64
 		for _, f := range fs {
 			sum += f
 		}
-		return value.Number(sum / float64(len(fs))), nil
+		return sum / float64(len(fs))
 	}
-	return value.Number(recAvg(fs)), nil
+	return recAvg(fs)
 }
 
 func recAvg(a []float64) float64 {

@@ -95,19 +95,19 @@ func TestEmptyInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res) != 0 {
+	if len(res) != 0 || res.List().Len() != 0 {
 		t.Errorf("empty input should reduce to nothing, got %v", res)
 	}
 }
 
 func TestMapperErrorAndPanic(t *testing.T) {
 	in := value.FromFloats([]float64{1})
-	if _, err := Run(in, func(value.Value) ([]KVP, error) {
-		return nil, errors.New("bad")
+	if _, err := Run(in, func(value.Value) (string, value.Value, error) {
+		return "", nil, errors.New("bad")
 	}, SumReduce, Config{}); err == nil {
 		t.Error("mapper error should propagate")
 	}
-	if _, err := Run(in, func(value.Value) ([]KVP, error) {
+	if _, err := Run(in, func(value.Value) (string, value.Value, error) {
 		panic("boom")
 	}, SumReduce, Config{}); err == nil {
 		t.Error("mapper panic should propagate as error")
@@ -124,27 +124,6 @@ func TestMapperErrorAndPanic(t *testing.T) {
 	}
 	if _, err := Run(value.FromStrings([]string{"x"}), FahrenheitToCelsius, AvgReduce, Config{}); err == nil {
 		t.Error("non-numeric F→C should error")
-	}
-}
-
-func TestMultiEmitMapper(t *testing.T) {
-	// Hadoop-style: one item may emit several pairs (split a line into
-	// words inside the mapper).
-	lines := value.FromStrings([]string{"a b", "b c"})
-	mapper := func(item value.Value) ([]KVP, error) {
-		var out []KVP
-		for _, w := range strings.Fields(item.String()) {
-			out = append(out, KVP{Key: w, Val: value.Number(1)})
-		}
-		return out, nil
-	}
-	res, err := Run(lines, mapper, SumReduce, Config{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := strings.Join(res.Strings(), ", ")
-	if got != "a: 1, b: 2, c: 1" {
-		t.Errorf("multi-emit = %q", got)
 	}
 }
 
