@@ -1,5 +1,5 @@
 // Command snapgen is the §6 code-mapping pipeline as a tool: it translates
-// block programs to text-based source code — C (Listing 5 style),
+// block programs to text-based source code — C (Listing 5 style), OpenMP C,
 // JavaScript, Python, or Go — and emits the full OpenMP MapReduce bundle
 // (kvp.h, mapreduce.c, main.c, a runnable single file, Makefile, and batch
 // script).
@@ -11,8 +11,10 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -24,7 +26,7 @@ import (
 )
 
 func main() {
-	lang := flag.String("lang", "c", "target language: c, js, python, go")
+	lang := flag.String("lang", "c", "target language: c, openmp, js, python, go")
 	demo := flag.String("demo", "", "translate a built-in script: fig16")
 	openmp := flag.Bool("openmp", false, "emit the OpenMP MapReduce bundle for the climate example")
 	out := flag.String("out", "", "directory for -openmp output (default: stdout)")
@@ -45,26 +47,25 @@ func main() {
 		os.Exit(2)
 	}
 
-	if *lang == "c" {
-		src, err := codegen.NewCEmitter().Program(script)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "translate:", err)
-			os.Exit(1)
-		}
-		fmt.Print(src)
-		return
-	}
-	tr, err := codegen.ForLang(*lang)
-	if err != nil {
+	switch err := translate(os.Stdout, *lang, script); {
+	case errors.Is(err, codegen.ErrUnknownLang):
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
-	}
-	src, err := tr.Script(script, 0)
-	if err != nil {
+	case err != nil:
 		fmt.Fprintln(os.Stderr, "translate:", err)
 		os.Exit(1)
 	}
-	fmt.Println(src)
+}
+
+// translate writes the script's translation into lang to w, ending in one
+// newline whether or not the emitter's output has one.
+func translate(w io.Writer, lang string, script *blocks.Script) error {
+	src, err := codegen.Emit(lang, script)
+	if err != nil {
+		return err
+	}
+	_, err = fmt.Fprintln(w, strings.TrimSuffix(src, "\n"))
+	return err
 }
 
 func loadScript(demo, path string) (*blocks.Script, error) {

@@ -1,12 +1,16 @@
 package main
 
 import (
+	"bytes"
+	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/blocks"
+	"repro/internal/codegen"
 	"repro/internal/demos"
 	"repro/internal/xmlio"
 )
@@ -93,5 +97,37 @@ func TestLoadScriptFromText(t *testing.T) {
 	s2, err := loadScript("", path2)
 	if err != nil || s2.Len() != 1 {
 		t.Errorf("textual project script: %v, %v", s2, err)
+	}
+}
+
+// TestTranslateEveryLang translates the Figure 16 demo under each language
+// codegen.Emit accepts, openmp included, and refuses an unknown one.
+func TestTranslateEveryLang(t *testing.T) {
+	script, err := loadScript("fig16", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for lang, want := range map[string]string{
+		"c":      "int main()",
+		"openmp": "int main()",
+		"js":     "let a = [3, 7, 8];",
+		"python": "a = [3, 7, 8]",
+		"go":     "a := []float64{3, 7, 8}",
+	} {
+		var out bytes.Buffer
+		if err := translate(&out, lang, script); err != nil {
+			t.Errorf("%s: %v", lang, err)
+			continue
+		}
+		src := out.String()
+		if !strings.Contains(src, want) {
+			t.Errorf("%s: output lacks %q:\n%s", lang, want, src)
+		}
+		if !strings.HasSuffix(src, "\n") || strings.HasSuffix(src, "\n\n") {
+			t.Errorf("%s: output should end in exactly one newline: %q", lang, src)
+		}
+	}
+	if err := translate(io.Discard, "cobol", script); !errors.Is(err, codegen.ErrUnknownLang) {
+		t.Errorf("cobol: err = %v, want ErrUnknownLang", err)
 	}
 }

@@ -147,7 +147,7 @@ func cQuote(s string) string {
 
 // CLang returns the Snap!→C mapping table of Figure 15.
 func CLang() *Lang {
-	l := &Lang{
+	return &Lang{
 		Name:        "c",
 		TrueLit:     "1",
 		FalseLit:    "0",
@@ -160,7 +160,7 @@ func CLang() *Lang {
 			"reportDifference":  "(<#1> - <#2>)",
 			"reportProduct":     "(<#1> * <#2>)",
 			"reportQuotient":    "(<#1> / (double)(<#2>))",
-			"reportModulus":     "(<#1> % <#2>)",
+			"reportModulus":     "(((<#1> % <#2>) + <#2>) % <#2>)",
 			"reportRound":       "round(<#1>)",
 			"reportLessThan":    "(<#1> < <#2>)",
 			"reportEquals":      "(<#1> == <#2>)",
@@ -185,15 +185,13 @@ func CLang() *Lang {
 			"doReport":    "return <#1>;",
 			"bubble":      `printf("%g\n", (double)(<#1>));`,
 		},
-		Custom: map[string]GenFunc{},
+		Custom: map[string]GenFunc{
+			"reportMonadic":      cMonadic,
+			"reportNewList":      cNewList,
+			"doSetVar":           cSetVar,
+			"doDeclareVariables": declareNothing,
+		},
 	}
-	l.Custom["reportMonadic"] = cMonadic
-	l.Custom["reportNewList"] = cNewList
-	l.Custom["doSetVar"] = cSetVar
-	l.Custom["doDeclareVariables"] = func(*Translator, *blocks.Block, int) (string, error) {
-		return "", nil // declarations are emitted at first assignment
-	}
-	return l
 }
 
 func cMonadic(t *Translator, b *blocks.Block, _ int) (string, error) {
@@ -288,58 +286,36 @@ func (e *CEmitter) setVar(t *Translator, b *blocks.Block, indent int) (string, e
 	}
 	ind := strings.Repeat(t.Lang.IndentUnit, indent)
 	rhsNode := b.Input(1)
-	ty := InferType(rhsNode, e.declared)
-
+	lhs := name
 	if _, seen := e.declared[name]; !seen {
+		ty := InferType(rhsNode, e.declared)
 		e.declared[name] = ty
 		switch ty {
-		case CIntArray, CDoubleArray:
-			rhs, err := t.Expr(rhsNode)
-			if err != nil {
-				return "", err
-			}
-			elem := "int"
-			if ty == CDoubleArray {
-				elem = "double"
-			}
-			return fmt.Sprintf("%s%s %s[] = %s;", ind, elem, name, rhs), nil
+		case CIntArray:
+			lhs = "int " + name + "[]"
+		case CDoubleArray:
+			lhs = "double " + name + "[]"
 		case CListPtr:
 			e.needsList = true
+			lhs = "node_t *" + name
 			// An empty or dynamic list becomes the malloc'd list head
 			// of Listing 5.
 			if isEmptyListLiteral(rhsNode) {
-				return fmt.Sprintf("%snode_t *%s = (node_t *) malloc(sizeof(node_t));", ind, name), nil
+				return ind + lhs + " = (node_t *) malloc(sizeof(node_t));", nil
 			}
-			rhs, err := t.Expr(rhsNode)
-			if err != nil {
-				return "", err
-			}
-			return fmt.Sprintf("%snode_t *%s = %s;", ind, name, rhs), nil
 		case CCharPtr:
-			rhs, err := t.Expr(rhsNode)
-			if err != nil {
-				return "", err
-			}
-			return fmt.Sprintf("%schar *%s = %s;", ind, name, rhs), nil
+			lhs = "char *" + name
 		case CBool, CInt:
-			rhs, err := t.Expr(rhsNode)
-			if err != nil {
-				return "", err
-			}
-			return fmt.Sprintf("%sint %s = %s;", ind, name, rhs), nil
+			lhs = "int " + name
 		default:
-			rhs, err := t.Expr(rhsNode)
-			if err != nil {
-				return "", err
-			}
-			return fmt.Sprintf("%sdouble %s = %s;", ind, name, rhs), nil
+			lhs = "double " + name
 		}
 	}
 	rhs, err := t.Expr(rhsNode)
 	if err != nil {
 		return "", err
 	}
-	return ind + name + " = " + rhs + ";", nil
+	return ind + lhs + " = " + rhs + ";", nil
 }
 
 func isEmptyListLiteral(n blocks.Node) bool {
@@ -421,24 +397,17 @@ func scan(s *blocks.Script, e *CEmitter) {
 			for _, in := range x.Inputs {
 				walk(in)
 			}
-		case blocks.ScriptNode:
-			for _, blk := range x.Script.Blocks {
+		case *blocks.Script:
+			for _, blk := range x.Blocks {
 				walk(blk)
 			}
+		case blocks.ScriptNode:
+			walk(x.Script)
 		case blocks.RingNode:
-			if body, ok := x.Body.(blocks.Node); ok {
-				walk(body)
-			}
-			if body, ok := x.Body.(*blocks.Script); ok {
-				for _, blk := range body.Blocks {
-					walk(blk)
-				}
-			}
+			walk(x.Body)
 		}
 	}
-	for _, blk := range s.Blocks {
-		walk(blk)
-	}
+	walk(s)
 }
 
 // Figure16Script is the Snap! script of Figure 16: the non-parallel map

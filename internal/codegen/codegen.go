@@ -23,10 +23,18 @@
 // and Go (langs.go) — "currently, mappings exist for JavaScript, C,
 // Smalltalk, and Python. Code mappings for new textual languages can
 // easily be specified by the user by creating the corresponding mapping
-// block": NewLang plus template registration is that mapping block.
+// block": a Lang table is that mapping block.
+//
+// Each translation job is written once. Emit is the one dispatch from a
+// language name to its emitter. ringExpr translates every ring that
+// becomes code — a lambda, a map program's worker function, the MapReduce
+// mapper. One C map-program template yields both the sequential and the
+// OpenMP map, the latter adding only omp.h, the thread count and the
+// pragma (§6.1). cDataArray formats every embedded dataset.
 package codegen
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -99,6 +107,10 @@ type Translator struct {
 // New builds a translator for the language.
 func New(l *Lang) *Translator { return &Translator{Lang: l} }
 
+// ErrUnknownLang is wrapped by the error ForLang and Emit return for a
+// language name with no mapping.
+var ErrUnknownLang = errors.New("no code mapping")
+
 // ForLang builds a translator by language name: "c", "js", "python", "go".
 func ForLang(name string) (*Translator, error) {
 	switch strings.ToLower(name) {
@@ -111,7 +123,24 @@ func ForLang(name string) (*Translator, error) {
 	case "go", "golang":
 		return New(GoLang()), nil
 	}
-	return nil, fmt.Errorf("no code mapping for language %q", name)
+	return nil, fmt.Errorf("%w for language %q", ErrUnknownLang, name)
+}
+
+// Emit translates a script into the named language: a whole program for
+// "c" and "openmp", the translated statements for the languages ForLang
+// knows. It is the one language dispatch every front end shares.
+func Emit(lang string, s *blocks.Script) (string, error) {
+	switch strings.ToLower(lang) {
+	case "c":
+		return NewCEmitter().Program(s)
+	case "openmp":
+		return NewOpenMPEmitter().Program(s)
+	}
+	t, err := ForLang(lang)
+	if err != nil {
+		return "", err
+	}
+	return t.Script(s, 0)
 }
 
 // WithImplicits returns a child translator whose empty slots render as the
@@ -148,11 +177,10 @@ func (t *Translator) Expr(n blocks.Node) (string, error) {
 	case blocks.RingNode:
 		// A bare ring in expression position translates to its body's
 		// code with its parameters as implicits.
-		sub := t.WithImplicits(x.Params...)
-		if body, ok := x.Body.(blocks.Node); ok {
-			return sub.Expr(body)
+		if _, ok := x.Body.(*blocks.Script); ok {
+			return "", fmt.Errorf("cannot translate a command ring as an expression")
 		}
-		return "", fmt.Errorf("cannot translate a command ring as an expression")
+		return t.WithImplicits(x.Params...).Expr(x.Body)
 	case *blocks.Block:
 		return t.exprBlock(x)
 	case nil:
@@ -336,5 +364,111 @@ func rawIdent(n blocks.Node) (string, error) {
 		return Ident(x.Name), nil
 	default:
 		return "", fmt.Errorf("expected a name, got %T", n)
+	}
+}
+
+// ringExpr translates a reporter ring's body into lang with the ring's one
+// input spelled param, whether the ring names it or leaves empty slots —
+// the function body of Listing 2's mappedCode. Every generated lambda and
+// map function goes through here.
+func ringExpr(lang *Lang, ring blocks.RingNode, param string) (string, error) {
+	body := ring.Body
+	if len(ring.Params) > 1 {
+		return "", fmt.Errorf("map ring must take one input")
+	}
+	if _, ok := body.(*blocks.Script); ok {
+		return "", fmt.Errorf("map ring must be a reporter")
+	}
+	if len(ring.Params) == 1 {
+		body = renameVar(body, ring.Params[0])
+	}
+	return New(lang).WithImplicits(param).Expr(body)
+}
+
+// renameVar rewrites references to the named variable into empty slots so
+// the implicit-argument mechanism renders them.
+func renameVar(n blocks.Node, name string) blocks.Node {
+	switch x := n.(type) {
+	case blocks.VarGet:
+		if x.Name == name {
+			return blocks.EmptySlot{}
+		}
+		return x
+	case *blocks.Block:
+		out := &blocks.Block{Op: x.Op, Inputs: make([]blocks.Node, len(x.Inputs))}
+		for i, in := range x.Inputs {
+			out.Inputs[i] = renameVar(in, name)
+		}
+		return out
+	default:
+		return n
+	}
+}
+
+// parallelMapExpr translates a parallelMap block's ring into lang as the
+// body of a function of x, for the standalone map programs.
+func parallelMapExpr(lang *Lang, b *blocks.Block) (string, error) {
+	if b.Op != "reportParallelMap" {
+		return "", fmt.Errorf("expected a parallelMap block, got %q", b.Op)
+	}
+	ring, ok := b.Input(0).(blocks.RingNode)
+	if !ok {
+		return "", fmt.Errorf("parallelMap's first input must be a ring")
+	}
+	return ringExpr(lang, ring, "x")
+}
+
+// ringAsLambda translates a ring input into an anonymous function using
+// the given wrapper format, with x as the parameter.
+func ringAsLambda(t *Translator, n blocks.Node, wrapper string) (string, error) {
+	ring, ok := n.(blocks.RingNode)
+	if !ok {
+		return "", fmt.Errorf("expected a ring")
+	}
+	expr, err := ringExpr(t.Lang, ring, "x")
+	if err != nil {
+		return "", err
+	}
+	return fmt.Sprintf(wrapper, expr), nil
+}
+
+// The generators below are shared by the languages whose mapping needs
+// them; each language's table names its own delimiters and formats.
+
+// declareNothing maps "script variables" to no code: these languages
+// declare a variable at its first assignment.
+func declareNothing(*Translator, *blocks.Block, int) (string, error) {
+	return "", nil
+}
+
+// listCtor generates a list-literal constructor from the translated items
+// between open and close.
+func listCtor(open, close string) GenFunc {
+	return func(t *Translator, b *blocks.Block, _ int) (string, error) {
+		parts := make([]string, len(b.Inputs))
+		for i := range b.Inputs {
+			s, err := t.Expr(b.Input(i))
+			if err != nil {
+				return "", err
+			}
+			parts[i] = s
+		}
+		return open + strings.Join(parts, ", ") + close, nil
+	}
+}
+
+// mapCall generates a map of a ring (input 1) over a list (input 2):
+// format receives the ring as a lambda built by wrapper, then the list.
+func mapCall(wrapper, format string) GenFunc {
+	return func(t *Translator, b *blocks.Block, _ int) (string, error) {
+		fn, err := ringAsLambda(t, b.Input(0), wrapper)
+		if err != nil {
+			return "", err
+		}
+		list, err := t.Expr(b.Input(1))
+		if err != nil {
+			return "", err
+		}
+		return fmt.Sprintf(format, fn, list), nil
 	}
 }

@@ -99,8 +99,9 @@ func TestRingExprInline(t *testing.T) {
 		t.Errorf("ring expr = %q, %v", got, err)
 	}
 	// A command ring cannot be an expression.
-	if _, err := tr.Expr(blocks.RingScript(blocks.NewScript(blocks.Stop()))); err == nil {
-		t.Error("command ring as expression should error")
+	_, err = tr.Expr(blocks.RingScript(blocks.NewScript(blocks.Stop())))
+	if err == nil || err.Error() != "cannot translate a command ring as an expression" {
+		t.Errorf("command ring as expression: %v", err)
 	}
 	// Nil input cannot be translated.
 	if _, err := tr.Expr(nil); err == nil {

@@ -13,7 +13,7 @@ import (
 // closing claim that "this same approach can be used to generate the
 // back-end code for any target system."
 func GoParallelMapProgram(b *blocks.Block, data []float64, workers int) (string, error) {
-	expr, err := goMapFunction(b)
+	expr, err := parallelMapExpr(GoLang(), b)
 	if err != nil {
 		return "", err
 	}
@@ -59,23 +59,4 @@ func main() {
 	}
 }
 `, cDataArray(data), workers, expr), nil
-}
-
-func goMapFunction(b *blocks.Block) (string, error) {
-	if b.Op != "reportParallelMap" {
-		return "", fmt.Errorf("expected a parallelMap block, got %q", b.Op)
-	}
-	ring, ok := b.Input(0).(blocks.RingNode)
-	if !ok {
-		return "", fmt.Errorf("parallelMap's first input must be a ring")
-	}
-	body, ok := ring.Body.(blocks.Node)
-	if !ok {
-		return "", fmt.Errorf("parallelMap ring must be a reporter")
-	}
-	var node blocks.Node = body
-	if len(ring.Params) == 1 {
-		node = renameVar(body, ring.Params[0])
-	}
-	return New(GoLang()).WithImplicits("x").Expr(node)
 }

@@ -3,7 +3,6 @@ package codegen
 import (
 	"fmt"
 	"strconv"
-	"strings"
 
 	"repro/internal/blocks"
 )
@@ -17,10 +16,13 @@ func jsQuote(s string) string {
 	return strconv.Quote(s)
 }
 
+// jsLambda wraps a translated ring body as a JavaScript function of x.
+const jsLambda = "function (x) { return %s; }"
+
 // JSLang returns the Snap!→JavaScript mapping. Its parallelMap mapping
 // emits Parallel.js code in the exact shape of the paper's Listing 1.
 func JSLang() *Lang {
-	l := &Lang{
+	return &Lang{
 		Name:        "js",
 		TrueLit:     "true",
 		FalseLit:    "false",
@@ -61,75 +63,35 @@ func JSLang() *Lang {
 			"doReport":    "return <#1>;",
 			"bubble":      "console.log(<#1>);",
 		},
-		Custom: map[string]GenFunc{},
+		Custom: map[string]GenFunc{
+			"doDeclareVariables": declareNothing,
+			"reportNewList":      listCtor("[", "]"),
+			"reportMap":          mapCall(jsLambda, "%[2]s.map(%[1]s)"),
+			"reportParallelMap":  jsParallelMap,
+		},
 	}
-	l.Custom["doDeclareVariables"] = func(*Translator, *blocks.Block, int) (string, error) {
-		return "", nil // declarations happen at first assignment
-	}
-	l.Custom["reportNewList"] = func(t *Translator, b *blocks.Block, _ int) (string, error) {
-		parts := make([]string, len(b.Inputs))
-		for i := range b.Inputs {
-			s, err := t.Expr(b.Input(i))
-			if err != nil {
-				return "", err
-			}
-			parts[i] = s
-		}
-		return "[" + strings.Join(parts, ", ") + "]", nil
-	}
-	l.Custom["reportMap"] = func(t *Translator, b *blocks.Block, _ int) (string, error) {
-		fn, err := ringAsLambda(t, b.Input(0), "function (x) { return %s; }")
-		if err != nil {
-			return "", err
-		}
-		list, err := t.Expr(b.Input(1))
-		if err != nil {
-			return "", err
-		}
-		return list + ".map(" + fn + ")", nil
-	}
-	// parallelMap emits the Parallel.js idiom of Listing 1:
-	//   new Parallel(list, {maxWorkers: n}).map(fn)
-	l.Custom["reportParallelMap"] = func(t *Translator, b *blocks.Block, _ int) (string, error) {
-		fn, err := ringAsLambda(t, b.Input(0), "function (x) { return %s; }")
-		if err != nil {
-			return "", err
-		}
-		list, err := t.Expr(b.Input(1))
-		if err != nil {
-			return "", err
-		}
-		workersExpr := "navigator.hardwareConcurrency || 4"
-		if _, empty := b.Input(2).(blocks.EmptySlot); !empty {
-			workersExpr, err = t.Expr(b.Input(2))
-			if err != nil {
-				return "", err
-			}
-		}
-		return fmt.Sprintf("new Parallel(%s, {maxWorkers: %s}).map(%s)", list, workersExpr, fn), nil
-	}
-	return l
 }
 
-// ringAsLambda translates a ring input into an anonymous function using
-// the given wrapper format, with x as the parameter.
-func ringAsLambda(t *Translator, n blocks.Node, wrapper string) (string, error) {
-	ring, ok := n.(blocks.RingNode)
-	if !ok {
-		return "", fmt.Errorf("expected a ring")
-	}
-	body, ok := ring.Body.(blocks.Node)
-	if !ok {
-		return "", fmt.Errorf("expected a reporter ring")
-	}
-	if len(ring.Params) == 1 {
-		body = renameVar(body, ring.Params[0])
-	}
-	expr, err := t.WithImplicits("x").Expr(body)
+// jsParallelMap emits the Parallel.js idiom of Listing 1:
+//
+//	new Parallel(list, {maxWorkers: n}).map(fn)
+func jsParallelMap(t *Translator, b *blocks.Block, _ int) (string, error) {
+	fn, err := ringAsLambda(t, b.Input(0), jsLambda)
 	if err != nil {
 		return "", err
 	}
-	return fmt.Sprintf(wrapper, expr), nil
+	list, err := t.Expr(b.Input(1))
+	if err != nil {
+		return "", err
+	}
+	workersExpr := "navigator.hardwareConcurrency || 4"
+	if _, empty := b.Input(2).(blocks.EmptySlot); !empty {
+		workersExpr, err = t.Expr(b.Input(2))
+		if err != nil {
+			return "", err
+		}
+	}
+	return fmt.Sprintf("new Parallel(%s, {maxWorkers: %s}).map(%s)", list, workersExpr, fn), nil
 }
 
 func pyQuote(s string) string {
@@ -138,7 +100,7 @@ func pyQuote(s string) string {
 
 // PythonLang returns the Snap!→Python mapping.
 func PythonLang() *Lang {
-	l := &Lang{
+	return &Lang{
 		Name:        "python",
 		TrueLit:     "True",
 		FalseLit:    "False",
@@ -182,52 +144,20 @@ func PythonLang() *Lang {
 			"doReport":    "return <#1>",
 			"bubble":      "print(<#1>)",
 		},
-		Custom: map[string]GenFunc{},
+		Custom: map[string]GenFunc{
+			"doDeclareVariables": declareNothing,
+			"reportNewList":      listCtor("[", "]"),
+			"reportMap":          mapCall("%s", "[%[1]s for x in %[2]s]"),
+			"reportParallelMap":  mapCall("lambda x: %s", "multiprocessing.Pool().map(%s, %s)"),
+		},
 	}
-	l.Custom["doDeclareVariables"] = func(*Translator, *blocks.Block, int) (string, error) {
-		return "", nil // declarations happen at first assignment
-	}
-	l.Custom["reportNewList"] = func(t *Translator, b *blocks.Block, _ int) (string, error) {
-		parts := make([]string, len(b.Inputs))
-		for i := range b.Inputs {
-			s, err := t.Expr(b.Input(i))
-			if err != nil {
-				return "", err
-			}
-			parts[i] = s
-		}
-		return "[" + strings.Join(parts, ", ") + "]", nil
-	}
-	l.Custom["reportMap"] = func(t *Translator, b *blocks.Block, _ int) (string, error) {
-		fn, err := ringAsLambda(t, b.Input(0), "%s")
-		if err != nil {
-			return "", err
-		}
-		list, err := t.Expr(b.Input(1))
-		if err != nil {
-			return "", err
-		}
-		return "[" + fn + " for x in " + list + "]", nil
-	}
-	l.Custom["reportParallelMap"] = func(t *Translator, b *blocks.Block, _ int) (string, error) {
-		fn, err := ringAsLambda(t, b.Input(0), "lambda x: %s")
-		if err != nil {
-			return "", err
-		}
-		list, err := t.Expr(b.Input(1))
-		if err != nil {
-			return "", err
-		}
-		return fmt.Sprintf("multiprocessing.Pool().map(%s, %s)", fn, list), nil
-	}
-	return l
 }
 
 // GoLang returns the Snap!→Go mapping — a language the paper did not ship
 // but whose mapping "can easily be specified by the user by creating the
 // corresponding mapping block".
 func GoLang() *Lang {
-	l := &Lang{
+	return &Lang{
 		Name:        "go",
 		TrueLit:     "true",
 		FalseLit:    "false",
@@ -263,21 +193,9 @@ func GoLang() *Lang {
 			"doReport":    "return <#1>",
 			"bubble":      "fmt.Println(<#1>)",
 		},
-		Custom: map[string]GenFunc{},
+		Custom: map[string]GenFunc{
+			"doDeclareVariables": declareNothing,
+			"reportNewList":      listCtor("[]float64{", "}"),
+		},
 	}
-	l.Custom["doDeclareVariables"] = func(*Translator, *blocks.Block, int) (string, error) {
-		return "", nil // declarations happen at first assignment
-	}
-	l.Custom["reportNewList"] = func(t *Translator, b *blocks.Block, _ int) (string, error) {
-		parts := make([]string, len(b.Inputs))
-		for i := range b.Inputs {
-			s, err := t.Expr(b.Input(i))
-			if err != nil {
-				return "", err
-			}
-			parts[i] = s
-		}
-		return "[]float64{" + strings.Join(parts, ", ") + "}", nil
-	}
-	return l
 }

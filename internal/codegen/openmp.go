@@ -127,52 +127,7 @@ func isSumCombine(b *blocks.Block) bool {
 // producing exactly Figure 19's `out->val = ((5 * (in->val - 32)) / 9);`
 // for the Fahrenheit-to-Celsius ring.
 func MapperCode(r blocks.RingNode) (string, error) {
-	t := New(CLang())
-	var sub *Translator
-	if len(r.Params) > 0 {
-		// Named parameter: rename it to in->val.
-		sub = t.WithImplicits("in->val")
-		// Translate with the param treated as a variable; substitute
-		// after the fact is fragile, so reject multi-param rings.
-		if len(r.Params) > 1 {
-			return "", fmt.Errorf("map ring must take one input")
-		}
-		body, ok := r.Body.(blocks.Node)
-		if !ok {
-			return "", fmt.Errorf("map ring must be a reporter")
-		}
-		expr, err := sub.Expr(renameVar(body, r.Params[0]))
-		if err != nil {
-			return "", err
-		}
-		return expr, nil
-	}
-	sub = t.WithImplicits("in->val")
-	body, ok := r.Body.(blocks.Node)
-	if !ok {
-		return "", fmt.Errorf("map ring must be a reporter")
-	}
-	return sub.Expr(body)
-}
-
-// renameVar rewrites references to the named variable into empty slots so
-// the implicit-argument mechanism renders them.
-func renameVar(n blocks.Node, name string) blocks.Node {
-	switch x := n.(type) {
-	case blocks.VarGet:
-		if x.Name == name {
-			return blocks.EmptySlot{}
-		}
-		return x
-	case *blocks.Block:
-		out := &blocks.Block{Op: x.Op, Inputs: make([]blocks.Node, len(x.Inputs))}
-		for i, in := range x.Inputs {
-			out.Inputs[i] = renameVar(in, name)
-		}
-		return out
-	default:
-		return n
-	}
+	return ringExpr(CLang(), r, "in->val")
 }
 
 // Listing6 generates the combined map and reduce functions file — the
@@ -277,13 +232,6 @@ func RunnableProgram(mapExpr string, kind ReduceKind, data []float64) string {
 	default: // avg
 		reduceExpr = "s / n"
 	}
-	var vals strings.Builder
-	for i, d := range data {
-		if i > 0 {
-			vals.WriteString(", ")
-		}
-		fmt.Fprintf(&vals, "%g", d)
-	}
 	return fmt.Sprintf(`/* OpenMP driver for Parallel Snap! MapReduce code output. */
 #include <omp.h>
 #include <stdlib.h>
@@ -371,7 +319,7 @@ int main(int argc, char *argv[]) {
 
     return 0;
 }
-`, vals.String(), mapExpr, reduceExpr)
+`, cDataArray(data), mapExpr, reduceExpr)
 }
 
 // Makefile automates "the compilation and linking of the textual output
@@ -453,36 +401,32 @@ func MapReduceFiles(b *blocks.Block, data []float64, threads int) (map[string]st
 // OpenMP program: the worker function generated from the ring (Listing 2's
 // mappedCode), applied across the data by a parallel-for.
 func ParallelMapProgram(b *blocks.Block, data []float64, threads int) (string, error) {
-	if b.Op != "reportParallelMap" {
-		return "", fmt.Errorf("expected a parallelMap block, got %q", b.Op)
-	}
-	ring, ok := b.Input(0).(blocks.RingNode)
-	if !ok {
-		return "", fmt.Errorf("parallelMap's first input must be a ring")
-	}
-	t := New(CLang()).WithImplicits("x")
-	body, ok := ring.Body.(blocks.Node)
-	if !ok {
-		return "", fmt.Errorf("parallelMap ring must be a reporter")
-	}
-	var node blocks.Node = body
-	if len(ring.Params) == 1 {
-		node = renameVar(body, ring.Params[0])
-	}
-	expr, err := t.Expr(node)
+	return cMapProgram(b, data, true, threads)
+}
+
+// SequentialMapProgram generates the plain sequential C loop for the same
+// map — the baseline both parallel dialects are diffed against.
+func SequentialMapProgram(b *blocks.Block, data []float64) (string, error) {
+	return cMapProgram(b, data, false, 0)
+}
+
+// cMapProgram is the one C map-program template. Its OpenMP form differs
+// from the sequential one only by the omp.h include, the thread-count call
+// and the pragma (and the title comment): §6.1's "very small" difference
+// holds by construction.
+func cMapProgram(b *blocks.Block, data []float64, parallel bool, threads int) (string, error) {
+	expr, err := parallelMapExpr(CLang(), b)
 	if err != nil {
 		return "", err
 	}
-	var vals strings.Builder
-	for i, d := range data {
-		if i > 0 {
-			vals.WriteString(", ")
-		}
-		fmt.Fprintf(&vals, "%g", d)
+	title, include, loop := "Sequential C translation of the Snap! map", "", ""
+	if parallel {
+		title = "OpenMP translation of the Snap! parallelMap block"
+		include = "#include <omp.h>\n"
+		loop = fmt.Sprintf("    omp_set_num_threads(%d);\n    #pragma omp parallel for shared(in, out)\n", threads)
 	}
-	return fmt.Sprintf(`/* OpenMP translation of the Snap! parallelMap block. */
-#include <omp.h>
-#include <stdio.h>
+	return fmt.Sprintf(`/* %s. */
+%s#include <stdio.h>
 
 static double in[] = { %s };
 #define N ((int)(sizeof(in)/sizeof(in[0])))
@@ -493,9 +437,7 @@ double f(double x) {
 }
 
 int main(void) {
-    omp_set_num_threads(%d);
-    #pragma omp parallel for shared(in, out)
-    for (int i = 0; i < N; i++) {
+%s    for (int i = 0; i < N; i++) {
         out[i] = f(in[i]);
     }
     for (int i = 0; i < N; i++) {
@@ -503,7 +445,19 @@ int main(void) {
     }
     return 0;
 }
-`, vals.String(), expr, threads), nil
+`, title, include, cDataArray(data), expr, loop), nil
+}
+
+// cDataArray formats a dataset as the items of a C (or Go) array literal.
+func cDataArray(data []float64) string {
+	var vals strings.Builder
+	for i, d := range data {
+		if i > 0 {
+			vals.WriteString(", ")
+		}
+		fmt.Fprintf(&vals, "%g", d)
+	}
+	return vals.String()
 }
 
 // OpenMPEmitter extends the C emitter so whole scripts containing the

@@ -136,21 +136,24 @@ func TestListing6and7(t *testing.T) {
 }
 
 func TestMapReduceFilesErrors(t *testing.T) {
-	if _, err := MapReduceFiles(blocks.Sum(blocks.Num(1), blocks.Num(2)), nil, 1); err == nil {
-		t.Error("non-mapReduce block should error")
+	cases := []struct {
+		b    *blocks.Block
+		want string
+	}{
+		{blocks.Sum(blocks.Num(1), blocks.Num(2)), `expected a mapReduce block, got "reportSum"`},
+		{blocks.MapReduce(blocks.Num(1), avgRing(), blocks.ListOf()), "mapReduce's first input must be a ring"},
+		{blocks.MapReduce(f2cRing(), blocks.Num(1), blocks.ListOf()), "mapReduce's second input must be a ring"},
+		{blocks.MapReduce(blocks.RingScript(blocks.NewScript(blocks.Stop())), avgRing(), blocks.ListOf()),
+			"map ring must be a reporter"},
+		{blocks.MapReduce(blocks.RingOf(blocks.Sum(blocks.Var("k"), blocks.Var("j")), "k", "j"), avgRing(), blocks.ListOf()),
+			"map ring must take one input"},
+		{blocks.MapReduce(f2cRing(), blocks.RingOf(blocks.Product(blocks.Empty(), blocks.Num(2))), blocks.ListOf()),
+			"unrecognized reduce ring shape: supported are average, sum, and count"},
 	}
-	b := blocks.MapReduce(blocks.Num(1), avgRing(), blocks.ListOf())
-	if _, err := MapReduceFiles(b, nil, 1); err == nil {
-		t.Error("non-ring mapper should error")
-	}
-	b = blocks.MapReduce(f2cRing(), blocks.Num(1), blocks.ListOf())
-	if _, err := MapReduceFiles(b, nil, 1); err == nil {
-		t.Error("non-ring reducer should error")
-	}
-	odd := blocks.RingOf(blocks.Product(blocks.Empty(), blocks.Num(2)))
-	b = blocks.MapReduce(f2cRing(), odd, blocks.ListOf())
-	if _, err := MapReduceFiles(b, nil, 1); err == nil {
-		t.Error("unknown reducer shape should error")
+	for _, c := range cases {
+		if _, err := MapReduceFiles(c.b, nil, 1); err == nil || err.Error() != c.want {
+			t.Errorf("%s: err = %v, want %q", c.b.Describe(), err, c.want)
+		}
 	}
 }
 
@@ -254,6 +257,20 @@ func TestParallelMapProgramCompiles(t *testing.T) {
 	out := compileAndRun(t, src, "-fopenmp")
 	if !strings.Contains(out, "30") || !strings.Contains(out, "70") || !strings.Contains(out, "80") {
 		t.Errorf("OpenMP parallelMap printed %q, want 30 70 80", out)
+	}
+}
+
+// TestCModulusFloored runs Snap!'s mod through generated C: the result
+// takes the divisor's sign, as in Snap! and the JavaScript mapping.
+func TestCModulusFloored(t *testing.T) {
+	src, err := NewCEmitter().Program(blocks.NewScript(
+		blocks.Say(blocks.Modulus(blocks.Num(7), blocks.Num(-3))),
+		blocks.Say(blocks.Modulus(blocks.Num(-7), blocks.Num(3)))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out := compileAndRun(t, src); out != "-2\n2\n" {
+		t.Errorf("7 mod -3, -7 mod 3 printed %q, want -2 and 2", out)
 	}
 }
 

@@ -16,71 +16,11 @@ import (
 // from the same block and counting what the parallelism costs in each
 // dialect.
 
-func mapFunctionFromBlock(b *blocks.Block) (string, error) {
-	if b.Op != "reportParallelMap" {
-		return "", fmt.Errorf("expected a parallelMap block, got %q", b.Op)
-	}
-	ring, ok := b.Input(0).(blocks.RingNode)
-	if !ok {
-		return "", fmt.Errorf("parallelMap's first input must be a ring")
-	}
-	body, ok := ring.Body.(blocks.Node)
-	if !ok {
-		return "", fmt.Errorf("parallelMap ring must be a reporter")
-	}
-	var node blocks.Node = body
-	if len(ring.Params) == 1 {
-		node = renameVar(body, ring.Params[0])
-	}
-	return New(CLang()).WithImplicits("x").Expr(node)
-}
-
-func cDataArray(data []float64) string {
-	var vals strings.Builder
-	for i, d := range data {
-		if i > 0 {
-			vals.WriteString(", ")
-		}
-		fmt.Fprintf(&vals, "%g", d)
-	}
-	return vals.String()
-}
-
-// SequentialMapProgram generates the plain sequential C loop for the same
-// map — the baseline both parallel dialects are diffed against.
-func SequentialMapProgram(b *blocks.Block, data []float64) (string, error) {
-	expr, err := mapFunctionFromBlock(b)
-	if err != nil {
-		return "", err
-	}
-	return fmt.Sprintf(`/* Sequential C translation of the Snap! map. */
-#include <stdio.h>
-
-static double in[] = { %s };
-#define N ((int)(sizeof(in)/sizeof(in[0])))
-static double out[N];
-
-double f(double x) {
-    return %s;
-}
-
-int main(void) {
-    for (int i = 0; i < N; i++) {
-        out[i] = f(in[i]);
-    }
-    for (int i = 0; i < N; i++) {
-        printf("%%g\n", out[i]);
-    }
-    return 0;
-}
-`, cDataArray(data), expr), nil
-}
-
 // PthreadsParallelMapProgram generates the pthreads translation of a
 // parallelMap block: explicit thread handles, per-thread range structs,
 // create/join error handling — everything the OpenMP pragma hides.
 func PthreadsParallelMapProgram(b *blocks.Block, data []float64, threads int) (string, error) {
-	expr, err := mapFunctionFromBlock(b)
+	expr, err := parallelMapExpr(CLang(), b)
 	if err != nil {
 		return "", err
 	}

@@ -410,23 +410,15 @@ func (s *Server) handleCodegen(w http.ResponseWriter, r *http.Request) {
 	}
 
 	lang := strings.ToLower(req.Lang)
-	var src string
-	var err error
-	switch lang {
-	case "", "c":
+	if lang == "" {
 		lang = "c"
-		src, err = codegen.NewCEmitter().Program(script)
-	case "openmp":
-		src, err = codegen.NewOpenMPEmitter().Program(script)
-	default:
-		var tr *codegen.Translator
-		if tr, err = codegen.ForLang(lang); err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		src, err = tr.Script(script, 0)
 	}
-	if err != nil {
+	src, err := codegen.Emit(lang, script)
+	switch {
+	case errors.Is(err, codegen.ErrUnknownLang):
+		writeError(w, http.StatusBadRequest, "%v", err)
+		return
+	case err != nil:
 		writeError(w, http.StatusUnprocessableEntity, "translate: %v", err)
 		return
 	}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/blocks"
+	"repro/internal/codegen"
 	"repro/internal/compile"
 	"repro/internal/interp"
 	"repro/internal/lint"
@@ -13,9 +14,17 @@ import (
 // every tier consumes every entry: the tree walker has it registered, the
 // lowering pass emits a table op for it, the ring compiler compiles it
 // (reporters only: kernels never run commands), and the linter enforces
-// its arity. A tier that silently stopped covering a primitive would fall
-// back to a slower path with no test noticing; this one does.
+// its arity, and each code-mapping target either maps it or names it in
+// codegenUnmapped. A tier that silently stopped covering a primitive would
+// fall back to a slower path with no test noticing; this one does.
 func TestPureOpsCoverage(t *testing.T) {
+	for lang, ops := range codegenUnmapped {
+		for op := range ops {
+			if _, ok := interp.PureOpIndex(op); !ok {
+				t.Errorf("codegenUnmapped[%q] names %q, which is not a pure primitive", lang, op)
+			}
+		}
+	}
 	for i := range interp.PureOps {
 		o := &interp.PureOps[i]
 		t.Run(o.Name, func(t *testing.T) {
@@ -33,7 +42,49 @@ func TestPureOpsCoverage(t *testing.T) {
 				}
 			}
 			checkLintArity(t, o)
+			checkCodegen(t, o)
 		})
+	}
+}
+
+// codegenUnmapped names, per code-mapping target, the pure primitives it
+// has no mapping for. A new pure primitive fails checkCodegen until each
+// target maps it or lists it here.
+var codegenUnmapped = map[string]map[string]bool{
+	"c": opSet("reportIfElse", "reportJoinWords", "reportLetter", "reportStringSize", "reportTextSplit",
+		"reportNumbers", "reportListContainsItem", "doDeleteFromList", "doInsertInList", "doReplaceInList"),
+	"js": opSet("reportMonadic", "reportIfElse", "reportLetter", "reportNumbers",
+		"doDeleteFromList", "doInsertInList", "doReplaceInList"),
+	"python": opSet("reportMonadic", "reportIfElse", "reportLetter",
+		"doDeleteFromList", "doInsertInList", "doReplaceInList"),
+	"go": opSet("reportModulus", "reportMonadic", "reportIfElse", "reportJoinWords", "reportLetter",
+		"reportStringSize", "reportTextSplit", "reportNumbers", "reportListContainsItem",
+		"doDeleteFromList", "doInsertInList", "doReplaceInList"),
+}
+
+func opSet(names ...string) map[string]bool {
+	m := make(map[string]bool, len(names))
+	for _, n := range names {
+		m[n] = true
+	}
+	return m
+}
+
+// checkCodegen requires each code-mapping target's table to map the op
+// exactly when codegenUnmapped does not name it.
+func checkCodegen(t *testing.T, o *interp.PureOp) {
+	t.Helper()
+	for _, l := range []*codegen.Lang{codegen.CLang(), codegen.JSLang(), codegen.PythonLang(), codegen.GoLang()} {
+		_, expr := l.Expr[o.Name]
+		_, stmt := l.Stmt[o.Name]
+		_, custom := l.Custom[o.Name]
+		mapped := expr || stmt || custom
+		switch unmapped := codegenUnmapped[l.Name][o.Name]; {
+		case !mapped && !unmapped:
+			t.Errorf("no %s mapping and not listed in codegenUnmapped", l.Name)
+		case mapped && unmapped:
+			t.Errorf("%s maps it but codegenUnmapped lists it", l.Name)
+		}
 	}
 }
 
