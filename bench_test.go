@@ -28,6 +28,7 @@ import (
 	"repro/internal/mapreduce"
 	"repro/internal/noaa"
 	"repro/internal/omp"
+	"repro/internal/parse"
 	"repro/internal/runtime"
 	"repro/internal/server"
 	"repro/internal/shard"
@@ -121,7 +122,9 @@ func BenchmarkE5WordCount(b *testing.B) {
 }
 
 // BenchmarkE6Climate times the Figure 13 climate averaging over NOAA-scale
-// data.
+// data: the engine alone per reading count, and the block program through
+// a machine ("session"), whose rounds/op and steps/op price the session's
+// wait for the job next to the engine's own time.
 func BenchmarkE6Climate(b *testing.B) {
 	for _, readings := range []int{1000, 10000} {
 		days := readings / 10
@@ -139,6 +142,27 @@ func BenchmarkE6Climate(b *testing.B) {
 			}
 		})
 	}
+	b.Run("session", func(b *testing.B) {
+		project, err := parse.Project(`(project "climate" (sprite "S" (when green-flag (do
+			(say (mapreduce (ring (/ (* 5 (- _ 32)) 9))
+			                (ring (/ (combine _ (ring (+ _ _))) (length _)))
+			                (numbers 1 5000)))))))`)
+		if err != nil {
+			b.Fatal(err)
+		}
+		var rounds, steps int64
+		for i := 0; i < b.N; i++ {
+			m := interp.NewMachine(project, nil)
+			m.GreenFlag()
+			if err := m.Run(0); err != nil {
+				b.Fatal(err)
+			}
+			rounds += m.Round()
+			steps += m.Steps()
+		}
+		b.ReportMetric(float64(rounds)/float64(b.N), "rounds/op")
+		b.ReportMetric(float64(steps)/float64(b.N), "steps/op")
+	})
 }
 
 // BenchmarkE7Listing5 times the Snap!→C translation of Figure 16.

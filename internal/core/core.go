@@ -8,7 +8,11 @@
 // shipped to Web-Worker-equivalent goroutines (package workers) and runs
 // concurrently with the interpreter thread, which keeps polling the job's
 // resolved flag and yielding — keeping the "browser" responsive, the
-// paper's stated motivation for Web Workers. parallelForEach demonstrates
+// paper's stated motivation for Web Workers. A poll that finds the job
+// unresolved parks the process on it (interp.Process.ParkOn), so a
+// machine whose every process waits on a job sleeps until one resolves,
+// the way the browser's event loop idles between frames, instead of
+// spinning scheduler rounds. parallelForEach demonstrates
 // parallelism inside the stage world by spawning sprite clones that execute
 // the nested script concurrently under the scheduler.
 //
@@ -86,10 +90,11 @@ func workerCount(v value.Value) (int, error) {
 // On first entry it wraps the ring, builds the Parallel pool, kicks off the
 // map, and stashes the job at inputs[3]; on every subsequent entry it
 // checks whether the workers are done, returning the result list when so —
-// and in either case pushes a yield so the rest of the system keeps
-// running.
+// and otherwise parks on the job and pushes a yield so the rest of the
+// system keeps running.
 func primParallelMap(p *interp.Process, ctx *interp.Context) (value.Value, interp.Control, error) {
 	const argc = 3
+	var job *workers.Job
 	if len(ctx.Inputs) < argc+1 { // if (this.context.inputs.length < 4)
 		ring, ok := ctx.Inputs[0].(*blocks.Ring)
 		if !ok {
@@ -104,11 +109,11 @@ func primParallelMap(p *interp.Process, ctx *interp.Context) (value.Value, inter
 			return nil, interp.Done, err
 		}
 		pool := workers.New(list, workers.Options{MaxWorkers: count, Label: traceLabel(p)}) // new Parallel(aList.asArray(), {maxWorkers: workers})
-		job := pool.MapChunks(RingChunkHandler(ring))                                       // p.map(aFunction)
+		job = pool.MapChunks(RingChunkHandler(ring))                                        // p.map(aFunction)
 		cancelOnDeath(p, job)
 		ctx.Inputs = append(ctx.Inputs, &value.Opaque{Tag: "parallelJob", Payload: job})
 	} else {
-		job := ctx.Inputs[argc].(*value.Opaque).Payload.(*workers.Job)
+		job = ctx.Inputs[argc].(*value.Opaque).Payload.(*workers.Job)
 		if job.Resolved() { // if (p.operation._resolved)
 			res, err := job.Wait()
 			if err != nil {
@@ -117,6 +122,7 @@ func primParallelMap(p *interp.Process, ctx *interp.Context) (value.Value, inter
 			return res, interp.Done, nil // return new List(p.data)
 		}
 	}
+	p.ParkOn(job.Done())
 	p.PushYield() // this.pushContext('doYield'); this.pushContext();
 	return nil, interp.Again, nil
 }

@@ -9,7 +9,8 @@ package core
 //	parallelCombine — the combine (fold) block as a parallel reduction
 //
 // Both follow the Listing 2 integration exactly: kick the job off, stash
-// it in the context's input array, poll-and-yield.
+// it in the context's input array, poll-and-yield (parking on the job
+// while it is unresolved).
 
 import (
 	"fmt"
@@ -42,6 +43,7 @@ func ParallelCombine(list, ring, workersIn blocks.Node) *blocks.Block {
 // filters in input order — parallel test, deterministic result.
 func primParallelKeep(p *interp.Process, ctx *interp.Context) (value.Value, interp.Control, error) {
 	const argc = 3
+	var job *workers.Job
 	if len(ctx.Inputs) < argc+1 {
 		ring, ok := ctx.Inputs[0].(*blocks.Ring)
 		if !ok {
@@ -56,11 +58,11 @@ func primParallelKeep(p *interp.Process, ctx *interp.Context) (value.Value, inte
 			return nil, interp.Done, err
 		}
 		pool := workers.New(list, workers.Options{MaxWorkers: count})
-		job := pool.MapChunks(RingChunkHandler(ring))
+		job = pool.MapChunks(RingChunkHandler(ring))
 		cancelOnDeath(p, job)
 		ctx.Inputs = append(ctx.Inputs, &value.Opaque{Tag: "parallelKeepJob", Payload: job})
 	} else {
-		job := ctx.Inputs[argc].(*value.Opaque).Payload.(*workers.Job)
+		job = ctx.Inputs[argc].(*value.Opaque).Payload.(*workers.Job)
 		if job.Resolved() {
 			verdicts, err := job.Wait()
 			if err != nil {
@@ -83,6 +85,7 @@ func primParallelKeep(p *interp.Process, ctx *interp.Context) (value.Value, inte
 			return out, interp.Done, nil
 		}
 	}
+	p.ParkOn(job.Done())
 	p.PushYield()
 	return nil, interp.Again, nil
 }
@@ -91,6 +94,7 @@ func primParallelKeep(p *interp.Process, ctx *interp.Context) (value.Value, inte
 // user's binary ring.
 func primParallelCombine(p *interp.Process, ctx *interp.Context) (value.Value, interp.Control, error) {
 	const argc = 3
+	var job *workers.Job
 	if len(ctx.Inputs) < argc+1 {
 		list, err := interp.AsList(ctx.Inputs[0])
 		if err != nil {
@@ -112,11 +116,11 @@ func primParallelCombine(p *interp.Process, ctx *interp.Context) (value.Value, i
 			return call([]value.Value{a, b})
 		}
 		pool := workers.New(list, workers.Options{MaxWorkers: count})
-		job := pool.Reduce(reduceFn)
+		job = pool.Reduce(reduceFn)
 		cancelOnDeath(p, job)
 		ctx.Inputs = append(ctx.Inputs, &value.Opaque{Tag: "parallelCombineJob", Payload: job})
 	} else {
-		job := ctx.Inputs[argc].(*value.Opaque).Payload.(*workers.Job)
+		job = ctx.Inputs[argc].(*value.Opaque).Payload.(*workers.Job)
 		if job.Resolved() {
 			res, err := job.Wait()
 			if err != nil {
@@ -134,6 +138,7 @@ func primParallelCombine(p *interp.Process, ctx *interp.Context) (value.Value, i
 			return v, interp.Done, nil
 		}
 	}
+	p.ParkOn(job.Done())
 	p.PushYield()
 	return nil, interp.Again, nil
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/blocks"
 	"repro/internal/compile"
@@ -39,16 +38,17 @@ func mrResult(res mapreduce.Result) value.Value {
 
 // mrJob is the in-flight mapReduce block operation: the engine runs on
 // worker goroutines while the interpreter polls, exactly like parallelMap's
-// Parallel object.
+// Parallel object. done closes once result and err are set.
 type mrJob struct {
-	resolved atomic.Bool
-	result   value.Value
-	err      error
+	done   chan struct{}
+	result value.Value
+	err    error
 }
 
-// start kicks the engine off on worker goroutines over a private clone of
-// the input ("ship the data, not the list").
-func (job *mrJob) start(list *value.List, mf mapreduce.Mapper, rf mapreduce.Reducer, label string) {
+// startMR kicks the engine off on worker goroutines over a private clone
+// of the input ("ship the data, not the list").
+func startMR(list *value.List, mf mapreduce.Mapper, rf mapreduce.Reducer, label string) *mrJob {
+	job := &mrJob{done: make(chan struct{})}
 	input := list.Clone().(*value.List)
 	go func() {
 		res, err := mapreduce.Run(input, mf, rf, mapreduce.Config{Workers: workers.DefaultWorkers(), Label: label})
@@ -57,23 +57,29 @@ func (job *mrJob) start(list *value.List, mf mapreduce.Mapper, rf mapreduce.Redu
 		} else {
 			job.result = mrResult(res)
 		}
-		job.resolved.Store(true)
+		close(job.done)
 	}()
+	return job
 }
 
-// poll reports the job's outcome once it has resolved.
-func (job *mrJob) poll() (value.Value, bool, error) {
-	if !job.resolved.Load() {
+// poll reports the job's outcome once it has resolved; until then it
+// parks p, the polling process, on the job.
+func (job *mrJob) poll(p *interp.Process) (value.Value, bool, error) {
+	select {
+	case <-job.done:
+		return job.result, true, job.err
+	default:
+		p.ParkOn(job.done)
 		return nil, false, nil
 	}
-	return job.result, true, job.err
 }
 
 // runMapReduce is the mapReduce block's dispatch, shared by the tree
 // primitive and the bytecode machine (vm.MRCall's contract): a small input
-// completes synchronously, a larger one starts a polled job. Small inputs
-// run the engine on the calling goroutine because the goroutine hand-off
-// plus the poll/yield scheduler rounds cost more than the whole job.
+// completes synchronously, a larger one starts a job whose poll parks p
+// while the job is unresolved. Small inputs run the engine on the calling
+// goroutine because the goroutine hand-off plus the poll/yield scheduler
+// rounds cost more than the whole job.
 // Nothing runs concurrently with the caller, and the map phase clones each
 // item before the mapper sees it, so the defensive whole-list clone is
 // also unnecessary.
@@ -86,9 +92,8 @@ func runMapReduce(p *interp.Process, list *value.List, mf mapreduce.Mapper, rf m
 		}
 		return mrResult(res), nil, nil
 	}
-	job := &mrJob{}
-	job.start(list, mf, rf, label)
-	return nil, job.poll, nil
+	job := startMR(list, mf, rf, label)
+	return nil, func() (value.Value, bool, error) { return job.poll(p) }, nil
 }
 
 // lowerMapReduce is the bytecode machine's engine adapter (see
@@ -147,7 +152,9 @@ func RingReducer(r *blocks.Ring) mapreduce.Reducer {
 
 // primMapReduce implements the mapReduce block of §3.4 with the same
 // poll-and-yield integration as parallelMap: kick the engine off on worker
-// goroutines, stash the job in the context inputs, and poll. The block
+// goroutines, stash the job's poll in the context inputs, and poll — from
+// the first entry on, as the bytecode machine's opMRBegin/opMRPoll pair
+// does, so a job still running parks the process at once. The block
 // reports a sorted list of (key value) pairs — Figure 12's "sorted list of
 // unique words from the input with the number of times the words appear" —
 // or, when every pair mapped to the single shared key, the lone reduced
@@ -172,11 +179,10 @@ func primMapReduce(p *interp.Process, ctx *interp.Context) (value.Value, interp.
 			return v, interp.Done, err
 		}
 		ctx.Inputs = append(ctx.Inputs, &value.Opaque{Tag: "mapReduceJob", Payload: poll})
-	} else {
-		poll := ctx.Inputs[argc].(*value.Opaque).Payload.(func() (value.Value, bool, error))
-		if v, done, err := poll(); done {
-			return v, interp.Done, err
-		}
+	}
+	poll := ctx.Inputs[argc].(*value.Opaque).Payload.(func() (value.Value, bool, error))
+	if v, done, err := poll(); done {
+		return v, interp.Done, err
 	}
 	p.PushYield()
 	return nil, interp.Again, nil

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"runtime"
 
 	"repro/internal/blocks"
@@ -50,7 +51,13 @@ type Machine struct {
 	errs        []error
 	round       int64
 	steps       int64
-	evalWrap    *blocks.Script
+	// After each round: waitOn holds the done channels of the live
+	// processes when every one of them parked on a parallel job and the
+	// clock stood still, so nothing can change until a job resolves;
+	// pollers reports that some process parked while others ran.
+	waitOn   []<-chan struct{}
+	pollers  bool
+	evalWrap *blocks.Script
 	// The RunScript scratch pair, minted once per machine: the sprite is
 	// immutable and the actor is rehomed to its just-added state before
 	// each run, so reuse is indistinguishable from a fresh AddActor
@@ -111,6 +118,7 @@ func (m *Machine) Reset() {
 	m.procs = m.procs[:0]
 	m.errs = nil
 	m.round, m.steps = 0, 0
+	m.waitOn, m.pollers = m.waitOn[:0], false
 	if m.evalWrap != nil {
 		// Unpin the last evaluated reporter; the shell itself is reused.
 		m.evalWrap.Blocks[0].Inputs[0] = nil
@@ -343,28 +351,32 @@ func (m *Machine) Errors() []error { return m.errs }
 // drinks in three timesteps). It reports whether live processes remain.
 //
 // Step iterates the process list in place rather than snapshotting it: a
-// process polling a parallel job yields thousands of rounds per job, and
-// the per-round snapshot slice was the single largest allocation source in
-// the whole system (97% of allocs on the E2 parallelMap bench). Processes
+// loop yields once per round, so programs run thousands of rounds, and the
+// per-round snapshot slice was once the single largest allocation source
+// in the whole system (97% of allocs on the E2 parallelMap bench, whose
+// poller then spun through rounds). Processes
 // spawned during the round (clones, broadcasts) are appended behind the
 // iteration bound and first run next round, exactly as with the snapshot.
+//
+// Step also records which processes parked on a parallel job (ParkOn);
+// RunContext reads that to sleep instead of spinning the next round.
 func (m *Machine) Step() bool {
 	m.compact()
 	if len(m.procs) == 0 {
 		return false
 	}
 	m.round++
-	anyWait := false
+	anyWait, anyParked := false, false
 	for i, bound := 0, len(m.procs); i < bound; i++ {
 		p := m.procs[i]
 		if p.Done() {
 			continue
 		}
 		p.consumedWait = false
+		p.parked = nil
 		m.steps += int64(p.RunStep(m.SliceOps))
-		if p.consumedWait {
-			anyWait = true
-		}
+		anyWait = anyWait || p.consumedWait
+		anyParked = anyParked || p.parked != nil
 		if p.Done() {
 			m.reap(p)
 		}
@@ -373,7 +385,40 @@ func (m *Machine) Step() bool {
 		m.Stage.Clock.Tick()
 	}
 	m.compact()
+	// Every live process ran this round (parked was cleared before its
+	// slice) or was spawned during it (parked is nil), so a process
+	// waits only if it parked in this very round.
+	m.waitOn = m.waitOn[:0]
+	if anyParked && !anyWait {
+		for _, p := range m.procs {
+			if p.parked == nil {
+				m.waitOn = m.waitOn[:0]
+				break
+			}
+			m.waitOn = append(m.waitOn, p.parked)
+		}
+	}
+	m.pollers = anyParked && len(m.waitOn) == 0
 	return len(m.procs) > 0
+}
+
+// sleep blocks until one of the jobs the parked processes wait on
+// resolves or ctxDone closes.
+func (m *Machine) sleep(ctxDone <-chan struct{}) {
+	if len(m.waitOn) == 1 {
+		select {
+		case <-m.waitOn[0]:
+		case <-ctxDone:
+		}
+		return
+	}
+	cases := make([]reflect.SelectCase, 0, len(m.waitOn)+1)
+	for _, ch := range append(m.waitOn, ctxDone) {
+		if ch != nil {
+			cases = append(cases, reflect.SelectCase{Dir: reflect.SelectRecv, Chan: reflect.ValueOf(ch)})
+		}
+	}
+	reflect.Select(cases)
 }
 
 func (m *Machine) reap(p *Process) {
@@ -467,14 +512,22 @@ func (m *Machine) RunContext(ctx context.Context, lim RunLimits) error {
 			}
 			return nil
 		}
-		// Hand the OS thread to worker goroutines between rounds. A
-		// process polling a parallel job spins through rounds with no
-		// allocation and no blocking, which on a loaded (or single-CPU)
-		// runtime would starve the very workers it is waiting for until
-		// async preemption kicks in ~10ms later. One Gosched per round
-		// is noise next to a full time slice of interpretation and
-		// bounds the poll→resolve latency to a scheduler pass.
-		runtime.Gosched()
+		switch {
+		case len(m.waitOn) > 0:
+			// Every live process is waiting on a worker job: the next
+			// round could only poll again. Sleep until a job resolves
+			// (or the session dies), like the browser's event loop
+			// idling until the next frame. The wait costs no rounds
+			// and no steps, so budgets stop depending on host speed.
+			m.sleep(done)
+		case m.pollers:
+			// A poller shares the round with running processes, which
+			// keep this goroutine busy without blocking; on a loaded
+			// (or single-CPU) runtime that starves the very workers
+			// the poller waits on until async preemption kicks in
+			// ~10ms later. Hand them the thread once per round.
+			runtime.Gosched()
+		}
 	}
 	if len(m.errs) > 0 {
 		return m.errs[0]

@@ -103,6 +103,9 @@ type Process struct {
 	readyToYield bool
 	warp         int
 	consumedWait bool // set when a doWait tick was consumed this step
+	// parked is the done channel of the parallel job this process
+	// yielded waiting on during its current slice (ParkOn); nil if none.
+	parked <-chan struct{}
 
 	// rng is the process-local random stream of a detached (worker)
 	// process; see detachedRand. Machine-owned processes use the
@@ -299,6 +302,13 @@ func (p *Process) ExitWarp() {
 // round (a doWait tick); the machine advances the stage clock once per
 // round in which any process did so.
 func (p *Process) MarkWaitConsumed() { p.consumedWait = true }
+
+// ParkOn records that the process is about to yield waiting for a
+// parallel job whose done channel is done. The poll-and-yield structure of
+// Listing 2 stays: the process still re-polls next round. But when every
+// live process of a round parked, the machine sleeps until one of those
+// jobs resolves instead of spinning rounds (see Machine.RunContext).
+func (p *Process) ParkOn(done <-chan struct{}) { p.parked = done }
 
 // RunStep runs the process until it yields, finishes, or has evaluated
 // maxOps contexts (the time slice of §2: "each process executes for a

@@ -416,7 +416,9 @@ func phaseGrain(n, w int) int {
 
 // runPhase executes s.run(i) for i in [0, n) across w executors on the
 // persistent worker pool, each claiming grain-sized chunks off a shared
-// counter. The first error in executor order is returned.
+// counter. It returns the error of the lowest failing record: chunks are
+// claimed in order and a failing chunk stops at its first failure, so the
+// lowest failing chunk holds it, and the wording is the same at any w.
 func runPhase(n, w int, kernel string, s step) error {
 	w = min(w, n)
 	if w <= 1 {
@@ -425,7 +427,11 @@ func runPhase(n, w int, kernel string, s step) error {
 		return runChunk(s, kernel, 0, n)
 	}
 	grain := phaseGrain(n, w)
-	errs := make([]error, w)
+	type chunkErr struct {
+		lo  int
+		err error
+	}
+	errs := make([]chunkErr, w)
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	pool := workers.SharedPool()
@@ -440,19 +446,20 @@ func runPhase(n, w int, kernel string, s step) error {
 					return
 				}
 				if err := runChunk(s, kernel, lo, min(lo+grain, n)); err != nil {
-					errs[worker] = err
+					errs[worker] = chunkErr{lo, err}
 					return
 				}
 			}
 		})
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
+	first := chunkErr{lo: n}
+	for _, e := range errs {
+		if e.err != nil && e.lo < first.lo {
+			first = e
 		}
 	}
-	return nil
+	return first.err
 }
 
 // runChunk runs s over [lo, hi). One deferred recover contains the

@@ -410,3 +410,42 @@ func TestColumnarErrorParity(t *testing.T) {
 		t.Fatalf("error wording diverged:\n  columnar: %s\n  boxed:    %s", fastErr, slowErr)
 	}
 }
+
+// TestErrorNamesLowestFailure pins worker-count invariance of the error
+// wording: when every mapper call or every reducer fails, the run names
+// the lowest failing item or key at 1 and at 4 workers alike, never
+// whichever executor happened to fail first in time.
+func TestErrorNamesLowestFailure(t *testing.T) {
+	words := make([]string, 64)
+	for i := range words {
+		words[i] = fmt.Sprintf("w%02d", i)
+	}
+	in := value.FromStrings(words)
+	failMap := func(item value.Value) (string, value.Value, error) {
+		return "", nil, fmt.Errorf("no mapping for %s", item)
+	}
+	failReduce := func(key string, vals *value.List) (value.Value, error) {
+		return nil, fmt.Errorf("no reduction for %s", key)
+	}
+	cases := []struct {
+		name string
+		m    Mapper
+		r    Reducer
+		want string
+	}{
+		{"every mapper fails", failMap, SumReduce, `map item 1: no mapping for w00`},
+		{"every reducer fails", WordCount, failReduce, `reduce key "w00": no reduction for w00`},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, w := range []int{1, 4} {
+				for rep := 0; rep < 20; rep++ {
+					_, err := Run(in, tc.m, tc.r, Config{Workers: w})
+					if err == nil || err.Error() != tc.want {
+						t.Fatalf("%d workers, run %d: err = %v, want %q", w, rep, err, tc.want)
+					}
+				}
+			}
+		})
+	}
+}

@@ -528,8 +528,9 @@ func (r *run) exec1(p *interp.Process, op Op) error {
 			r.push(v)
 			r.pc = int(op.A)
 		} else {
-			// One poll per scheduler round, like the tree primitive's
-			// PushYield/Again loop (the Step loop honors warp).
+			// The poll parked the process on the job. One poll per
+			// scheduler round, like the tree primitive's PushYield/Again
+			// loop (the Step loop honors warp).
 			p.RequestYield()
 		}
 

@@ -99,9 +99,8 @@ func (p *Parallel) MaxWorkers() int { return p.opts.MaxWorkers }
 // Job is an in-flight parallel operation. Listing 2 polls
 // `p.operation._resolved` from the Snap! scheduler; Resolved is that flag.
 type Job struct {
-	resolved atomic.Bool
 	canceled atomic.Bool
-	done     chan struct{}
+	done     chan struct{} // closed when the job resolves
 
 	mu     sync.Mutex
 	result *value.List
@@ -123,7 +122,18 @@ func newJob(workers int) *Job {
 
 // Resolved reports, without blocking, whether the job has finished — the
 // poll the paper's reportParallelMap performs on every runStep.
-func (j *Job) Resolved() bool { return j.resolved.Load() }
+func (j *Job) Resolved() bool {
+	select {
+	case <-j.done:
+		return true
+	default:
+		return false
+	}
+}
+
+// Done is closed when the job resolves: a polling process parks on it
+// (interp.Process.ParkOn) instead of spinning scheduler rounds.
+func (j *Job) Done() <-chan struct{} { return j.done }
 
 // ErrCanceled resolves a job whose work was canceled before completion —
 // the Worker.terminate() of a pool operation (pressing the red stop button
@@ -166,7 +176,6 @@ func (j *Job) finish(result *value.List, err error) {
 	j.mu.Lock()
 	j.result, j.err = result, err
 	j.mu.Unlock()
-	j.resolved.Store(true)
 	close(j.done)
 }
 
@@ -282,7 +291,15 @@ func (p *Parallel) MapChunks(fn ChunkHandler) *Job {
 	}
 	items := p.data.Items()
 	results := make([]value.Value, n)
-	var firstErr atomic.Value
+	// fail keeps the error of the lowest failing chunk. Chunks are
+	// disjoint, a failing chunk stops at its first failing element, and
+	// every chunk below a claimed one was claimed too, so the job reports
+	// its lowest failing element whatever the worker count or timing.
+	var fail struct {
+		sync.Mutex
+		lo  int
+		err error
+	}
 
 	// runChunk hands [lo,hi) to the handler; true means keep claiming.
 	runChunk := func(worker, lo, hi int) bool {
@@ -301,7 +318,11 @@ func (p *Parallel) MapChunks(fn ChunkHandler) *Job {
 		}
 		if err != nil {
 			if !errors.Is(err, ErrCanceled) {
-				firstErr.CompareAndSwap(nil, err)
+				fail.Lock()
+				if fail.err == nil || lo < fail.lo {
+					fail.lo, fail.err = lo, err
+				}
+				fail.Unlock()
 			}
 			return false
 		}
@@ -322,10 +343,11 @@ func (p *Parallel) MapChunks(fn ChunkHandler) *Job {
 			return
 		}
 		var res *value.List
-		var err error
+		fail.Lock()
+		err := fail.err
+		fail.Unlock()
 		switch {
-		case firstErr.Load() != nil:
-			err = firstErr.Load().(error)
+		case err != nil: // an element's error outranks cancellation
 		case job.canceled.Load():
 			err = ErrCanceled
 		default:

@@ -224,3 +224,25 @@ func TestWorkerProcessedConcurrentRead(t *testing.T) {
 		t.Fatalf("processed = %d, want 100", got)
 	}
 }
+
+// TestMapReportsLowestFailingElement pins worker-count invariance of the
+// error wording: when every element fails, the job names element 1 at any
+// worker count and under every assignment policy, never whichever
+// executor happened to fail first in time.
+func TestMapReportsLowestFailingElement(t *testing.T) {
+	fail := func(v value.Value) (value.Value, error) {
+		return nil, fmt.Errorf("cannot take %s", v)
+	}
+	in := value.Range(1, 64, 1)
+	const want = "element 1: cannot take 1"
+	for _, a := range []Assignment{Dynamic, Block, Interleaved} {
+		for _, w := range []int{1, 4} {
+			for rep := 0; rep < 20; rep++ {
+				_, err := New(in, Options{MaxWorkers: w, Assignment: a}).Map(fail).Wait()
+				if err == nil || err.Error() != want {
+					t.Fatalf("%s, %d workers, run %d: err = %v, want %q", a, w, rep, err, want)
+				}
+			}
+		}
+	}
+}
