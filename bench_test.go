@@ -22,6 +22,7 @@ import (
 	"repro/internal/bench"
 	"repro/internal/blocks"
 	"repro/internal/codegen"
+	"repro/internal/core"
 	"repro/internal/demos"
 	"repro/internal/dist"
 	"repro/internal/interp"
@@ -150,6 +151,7 @@ func BenchmarkE6Climate(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		b.ReportAllocs()
 		var rounds, steps int64
 		for i := 0; i < b.N; i++ {
 			m := interp.NewMachine(project, nil)
@@ -510,8 +512,18 @@ func BenchmarkInterpreterThroughput(b *testing.B) {
 }
 
 // BenchmarkMapReduceEngine scales the engine across input sizes and worker
-// counts.
+// counts. The stock rows run the climate computation as the registered Go
+// kernels; the ring-column rows run it as the Figure 13 block rings,
+// compiled to the kernels the mapReduce block uses, on the same float
+// input.
 func BenchmarkMapReduceEngine(b *testing.B) {
+	mapRing := &blocks.Ring{Body: blocks.Quotient(
+		blocks.Product(blocks.Num(5), blocks.Difference(blocks.Empty(), blocks.Num(32))),
+		blocks.Num(9))}
+	reduceRing := &blocks.Ring{Body: blocks.Quotient(
+		blocks.Combine(blocks.Empty(), blocks.RingOf(blocks.Sum(blocks.Empty(), blocks.Empty()))),
+		blocks.LengthOf(blocks.Empty()))}
+	rm, rr, cols := core.MapReduceKernels(mapRing, reduceRing)
 	for _, n := range []int{100, 10000} {
 		in := value.Range(1, float64(n), 1)
 		for _, w := range []int{1, 4} {
@@ -520,6 +532,15 @@ func BenchmarkMapReduceEngine(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					if _, err := mapreduce.Run(in, mapreduce.FahrenheitToCelsius,
 						mapreduce.AvgReduce, mapreduce.Config{Workers: w}); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+			b.Run(fmt.Sprintf("ring-column/n=%d/workers=%d", n, w), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := mapreduce.Run(in, rm, rr,
+						mapreduce.Config{Workers: w, Columns: cols}); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -14,7 +14,9 @@
 // report ok=false and the caller falls back to the interpreter tier
 // (interp.CallFunction / interp.Caller), which remains the semantic source
 // of truth. A differential test (see differential_test.go) pins the two
-// tiers to identical results and identical error messages.
+// tiers to identical results and identical error messages. Purely
+// arithmetic rings also get an unboxed float form (float.go), which runs
+// the mapReduce block and the combine fold over float columns.
 package compile
 
 import (
@@ -356,26 +358,34 @@ func compileEmptySlot(sc *scope) (expr, bool) {
 	return constExpr(value.TheNothing), true
 }
 
+// paramIndex is the position a parameter name binds to, or -1. It scans
+// right to left: Declare overwrites in place, so a duplicated name binds
+// to the value of its last position.
+func paramIndex(params []string, name string) int {
+	for i := len(params) - 1; i >= 0; i-- {
+		if params[i] == name {
+			return i
+		}
+	}
+	return -1
+}
+
 func compileVarGet(name string, sc *scope) (expr, bool) {
 	depth := 0
 	for s := sc; s != nil; s = s.parent {
-		// Scan parameters right to left: Declare overwrites in place,
-		// so a duplicated name binds to the value of its last position.
-		for i := len(s.params) - 1; i >= 0; i-- {
-			if s.params[i] == name {
-				d, idx := depth, i
-				return func(e *env) (value.Value, error) {
-					for k := 0; k < d; k++ {
-						e = e.parent
-					}
-					if idx < len(e.args) {
-						return nonNil(e.args[idx]), nil
-					}
-					// Declared parameter with no argument: bound
-					// to Nothing by CallRing.
-					return value.TheNothing, nil
-				}, true
-			}
+		if idx := paramIndex(s.params, name); idx >= 0 {
+			d := depth
+			return func(e *env) (value.Value, error) {
+				for k := 0; k < d; k++ {
+					e = e.parent
+				}
+				if idx < len(e.args) {
+					return nonNil(e.args[idx]), nil
+				}
+				// Declared parameter with no argument: bound to
+				// Nothing by CallRing.
+				return value.TheNothing, nil
+			}, true
 		}
 		depth++
 	}
@@ -503,7 +513,8 @@ func compileInnerRing(n blocks.Node, sc *scope) (expr, bool) {
 // compileCombine lowers "combine _ using _" to a sequential fold. Inputs:
 // [0] the list expression, [1] the literal binary ring. The fold matches
 // primCombine: an empty list reports 0, otherwise the accumulator starts at
-// item 1 and the ring is called with (acc, item).
+// item 1 and the ring is called with (acc, item). A float column folds
+// unboxed when the ring has a two-argument float form (foldFloats).
 func compileCombine(b *blocks.Block, sc *scope) (expr, bool) {
 	if len(b.Inputs) != 2 {
 		return sc.refuse("arity")
@@ -516,6 +527,8 @@ func compileCombine(b *blocks.Block, sc *scope) (expr, bool) {
 	if !ok {
 		return nil, false
 	}
+	rn := b.Input(1).(blocks.RingNode) // compileInnerRing accepted it
+	fold, _ := floatBody(rn.Params, rn.Body, 2)
 	return func(e *env) (value.Value, error) {
 		lv, err := listEx(e)
 		if err != nil {
@@ -524,6 +537,9 @@ func compileCombine(b *blocks.Block, sc *scope) (expr, bool) {
 		l, err := interp.AsList(lv)
 		if err != nil {
 			return nil, wrapOp("reportCombine", err)
+		}
+		if xs, ok := l.FloatsView(); ok && fold != nil {
+			return foldFloats(xs, fold)
 		}
 		n, it := columnIter(l)
 		if n == 0 {

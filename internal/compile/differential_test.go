@@ -3,6 +3,7 @@ package compile
 import (
 	"crypto/sha256"
 	"encoding/binary"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -259,8 +260,8 @@ func TestDifferentialCompiledVsInterpreted(t *testing.T) {
 // generator re-explores the neighborhoods where cross-tier divergences
 // were actually found.
 func FuzzCompileRing(f *testing.F) {
-	for _, seed := range []int64{0, 1, 2, 42, 0xBEEF, -7} {
-		f.Add(seed)
+	for i, seed := range []int64{0, 1, 2, 42, 0xBEEF, -7} {
+		f.Add(seed, floatGrid[i], floatGrid[len(floatGrid)-1-i])
 	}
 	if entries, err := os.ReadDir("../evo/corpus"); err == nil {
 		for _, e := range entries {
@@ -272,12 +273,139 @@ func FuzzCompileRing(f *testing.F) {
 				continue
 			}
 			sum := sha256.Sum256(b)
-			f.Add(int64(binary.LittleEndian.Uint64(sum[:8])))
+			f.Add(int64(binary.LittleEndian.Uint64(sum[:8])), 2.5, -1.0)
 		}
 	}
-	f.Fuzz(func(t *testing.T, seed int64) {
+	f.Fuzz(func(t *testing.T, seed int64, x, y float64) {
 		runDifferential(t, rand.New(rand.NewSource(seed)), 25)
+		runFloatLeg(t, rand.New(rand.NewSource(seed)), 25, x, y)
 	})
+}
+
+// floatGrid is the float leg's fixed operand grid: signed zeros and
+// units, the infinities, NaN, a value one product away from overflow,
+// and a fraction.
+var floatGrid = []float64{0, math.Copysign(0, -1), 1, -1, math.Inf(1), math.Inf(-1), math.NaN(), 1e308, 2.5, -7}
+
+// numNode builds a numeric ring body: the arithmetic entries over number
+// literals and the ring's own arguments, which is the float compiler's
+// whole language, with an occasional text literal, unary op or free
+// variable it must refuse.
+func (g *gen) numNode(depth int) blocks.Node {
+	if depth <= 0 || g.rnd.Intn(5) == 0 {
+		switch g.rnd.Intn(12) {
+		case 0:
+			return blocks.Txt("3")
+		case 1:
+			return blocks.Var("ghost")
+		case 2, 3, 4:
+			return blocks.Num(floatGrid[g.rnd.Intn(len(floatGrid))])
+		}
+		if len(g.params) > 0 {
+			return blocks.Var(g.params[g.rnd.Intn(len(g.params))])
+		}
+		return blocks.Empty()
+	}
+	a, b := g.numNode(depth-1), g.numNode(depth-1)
+	switch g.rnd.Intn(11) {
+	case 0, 1:
+		return blocks.Reporter(blocks.Sum(a, b))
+	case 2, 3:
+		return blocks.Reporter(blocks.Difference(a, b))
+	case 4, 5:
+		return blocks.Reporter(blocks.Product(a, b))
+	case 6, 7:
+		return blocks.Reporter(blocks.Quotient(a, b))
+	case 8, 9:
+		return blocks.Reporter(blocks.Modulus(a, b))
+	}
+	return blocks.Reporter(blocks.Round(a))
+}
+
+// runFloatLeg generates iters numeric rings. For each one the float
+// compiler accepts, the float form called on x (one argument) or on
+// (x, y) (two) must report what the boxed compiled ring reports on
+// value.Num(x) and value.Num(y): the same error wording, and the same
+// value up to the sign of a zero, which boxing drops. The keyed map
+// kernels must agree exactly, bit for bit. Returns how many float forms
+// were compared.
+func runFloatLeg(t *testing.T, rnd *rand.Rand, iters int, x, y float64) int {
+	t.Helper()
+	compared := 0
+	for i := 0; i < iters; i++ {
+		g := &gen{rnd: rnd}
+		switch rnd.Intn(4) {
+		case 1:
+			g.params = []string{"x"}
+		case 2:
+			g.params = []string{"x", "y"}
+		case 3:
+			g.params = []string{"x", "x"}
+		}
+		r := &blocks.Ring{Body: g.numNode(3), Params: g.params}
+		fn, _, boxedOK := ring(r)
+		desc := r.Body.Describe()
+		for nargs := 1; nargs <= 2; nargs++ {
+			f, ok := floatBody(r.Params, r.Body, nargs)
+			if !ok {
+				continue
+			}
+			if !boxedOK {
+				t.Fatalf("float form for %s, which the boxed compiler refuses", desc)
+			}
+			compared++
+			args := []value.Value{value.Num(x), value.Num(y)}[:nargs]
+			bv, berr := fn(args)
+			fv, ferr := f(x, y)
+			if bs, fs := oracle.ErrString(berr), oracle.ErrString(ferr); bs != fs {
+				t.Fatalf("error divergence on %s (args %v):\n  boxed: %s\n  float: %s", desc, args, bs, fs)
+			}
+			if berr == nil && !sameFloat(bv, fv) {
+				t.Fatalf("value divergence on %s (args %v):\n  boxed: %v\n  float: %v", desc, args, bv, fv)
+			}
+		}
+		fm, ok := FloatMapperRing(r)
+		if !ok {
+			continue
+		}
+		mf, _ := MapperRing(r)
+		bk, bv, berr := mf(value.Num(x))
+		fk, fv, ferr := fm(x)
+		if bs, fs := oracle.ErrString(berr), oracle.ErrString(ferr); bs != fs || bk != fk {
+			t.Fatalf("map kernel divergence on %s (x %v): boxed (%q, %s), float (%q, %s)", desc, x, bk, bs, fk, fs)
+		}
+		if n, ok := bv.(value.Number); berr == nil && (!ok || math.Float64bits(float64(n)) != math.Float64bits(fv)) {
+			t.Fatalf("map kernel value divergence on %s (x %v): boxed %v, float %v", desc, x, bv, fv)
+		}
+	}
+	return compared
+}
+
+// sameFloat reports whether a boxed result is the number f, bit for bit
+// (NaN payloads included) except for the sign of a zero.
+func sameFloat(boxed value.Value, f float64) bool {
+	n, ok := boxed.(value.Number)
+	if !ok {
+		return false
+	}
+	b := float64(n)
+	return math.Float64bits(b) == math.Float64bits(f) || b == 0 && f == 0
+}
+
+// TestFloatFormMatchesBoxed runs the float leg over every pair of grid
+// operands.
+func TestFloatFormMatchesBoxed(t *testing.T) {
+	rnd := rand.New(rand.NewSource(0xF10A7))
+	compared := 0
+	for _, x := range floatGrid {
+		for _, y := range floatGrid {
+			compared += runFloatLeg(t, rnd, 20, x, y)
+		}
+	}
+	t.Logf("compared %d float forms", compared)
+	if compared < 500 {
+		t.Fatalf("only %d float forms compared: the generator lost its numeric rings", compared)
+	}
 }
 
 // TestDifferentialSlotConsumption pins the subtlest equivalence: static

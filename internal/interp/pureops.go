@@ -1,6 +1,7 @@
 package interp
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"strings"
@@ -27,6 +28,11 @@ type PureOp struct {
 	// during the call (callers pass reused buffers) and returns the
 	// block's own failure unwrapped; each tier prefixes it with Name.
 	Fn func(args []value.Value) (value.Value, error)
+	// Num2, set on the binary arithmetic entries, is the block on two
+	// numbers: the unboxed form compiled kernels run over float columns.
+	// Fn is Num2 behind the shared number coercion (see arith), so the
+	// two forms cannot disagree on a value or an error.
+	Num2 func(a, b float64) (float64, error)
 }
 
 // Accepts reports whether a block with n inputs matches the arity.
@@ -40,11 +46,11 @@ func (o *PureOp) Accepts(n int) bool {
 // PureOps is the pure-primitive table. Treat it as read-only: lowered
 // bytecode programs refer to entries by index.
 var PureOps = []PureOp{
-	{Name: "reportSum", Arity: 2, Fn: opSum},
-	{Name: "reportDifference", Arity: 2, Fn: opDifference},
-	{Name: "reportProduct", Arity: 2, Fn: opProduct},
-	{Name: "reportQuotient", Arity: 2, Fn: opQuotient},
-	{Name: "reportModulus", Arity: 2, Fn: opModulus},
+	arith("reportSum", func(a, b float64) (float64, error) { return a + b, nil }),
+	arith("reportDifference", func(a, b float64) (float64, error) { return a - b, nil }),
+	arith("reportProduct", func(a, b float64) (float64, error) { return a * b, nil }),
+	arith("reportQuotient", numQuotient),
+	arith("reportModulus", numModulus),
 	{Name: "reportRound", Arity: 1, Fn: opRound},
 	{Name: "reportMonadic", Arity: 2, Fn: opMonadic},
 	{Name: "reportLessThan", Arity: 2, Fn: opLessThan},
@@ -113,55 +119,44 @@ func numbers2(args []value.Value) (float64, float64, error) {
 	return float64(a), float64(b), nil
 }
 
-func opSum(args []value.Value) (value.Value, error) {
-	a, b, err := numbers2(args)
-	if err != nil {
-		return nil, err
-	}
-	return value.Num(a + b), nil
+// arith declares a binary arithmetic entry from its number form: Fn
+// coerces both inputs with numbers2 and boxes Num2's result.
+func arith(name string, num2 func(a, b float64) (float64, error)) PureOp {
+	return PureOp{Name: name, Arity: 2, Num2: num2, Fn: func(args []value.Value) (value.Value, error) {
+		a, b, err := numbers2(args)
+		if err != nil {
+			return nil, err
+		}
+		r, err := num2(a, b)
+		if err != nil {
+			return nil, err
+		}
+		return value.Num(r), nil
+	}}
 }
 
-func opDifference(args []value.Value) (value.Value, error) {
-	a, b, err := numbers2(args)
-	if err != nil {
-		return nil, err
-	}
-	return value.Num(a - b), nil
-}
+var (
+	errDivZero = errors.New("division by zero")
+	errModZero = errors.New("modulus by zero")
+)
 
-func opProduct(args []value.Value) (value.Value, error) {
-	a, b, err := numbers2(args)
-	if err != nil {
-		return nil, err
-	}
-	return value.Num(a * b), nil
-}
-
-func opQuotient(args []value.Value) (value.Value, error) {
-	a, b, err := numbers2(args)
-	if err != nil {
-		return nil, err
-	}
+func numQuotient(a, b float64) (float64, error) {
 	if b == 0 {
-		return nil, fmt.Errorf("division by zero")
+		return 0, errDivZero
 	}
-	return value.Num(a / b), nil
+	return a / b, nil
 }
 
-func opModulus(args []value.Value) (value.Value, error) {
-	a, b, err := numbers2(args)
-	if err != nil {
-		return nil, err
-	}
+func numModulus(a, b float64) (float64, error) {
 	if b == 0 {
-		return nil, fmt.Errorf("modulus by zero")
+		return 0, errModZero
 	}
 	// Snap!'s mod matches the sign of the divisor.
 	m := math.Mod(a, b)
 	if m != 0 && (m < 0) != (b < 0) {
 		m += b
 	}
-	return value.Num(m), nil
+	return m, nil
 }
 
 func opRound(args []value.Value) (value.Value, error) {

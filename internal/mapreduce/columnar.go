@@ -1,12 +1,15 @@
 package mapreduce
 
 // Column kernels: when the input list carries a raw []float64 or []string
-// column (see value.List) and both stock kernels have registered
-// column-native variants, Run feeds those variants to the same pipeline
-// with a float64 value column — no per-item boxing and no per-group value
-// lists. The registry is the assertion that a column kernel computes
-// exactly what its boxed counterpart computes (keys, values, errors),
-// which holds for every stock mapper/reducer registered below.
+// column (see value.List) and both kernels have column-native variants,
+// Run feeds those variants to the same pipeline with a float64 value
+// column — no per-item boxing and no per-group value lists. A variant
+// comes from one of two places. The caller may pass it in Config.Columns:
+// the mapReduce block does so for rings the compile tier gives a float
+// form. Otherwise the registry below supplies it for the stock kernels.
+// Either way a variant is the assertion that it computes exactly what its
+// boxed counterpart computes (keys, values, errors); planColumnRun is the
+// one place that picks the column path.
 
 import (
 	"reflect"
@@ -26,6 +29,14 @@ type StringMapper func(s string) (key string, val float64, err error)
 // FloatReducer is the columnar form of a Reducer whose group values are
 // all numeric. vals is a read-only view carved from one backing array.
 type FloatReducer func(key string, vals []float64) (value.Value, error)
+
+// Columns is a caller's pair of column kernels for one run, asserted
+// equivalent to the run's Mapper and Reducer. A nil field leaves that
+// kernel to the registry.
+type Columns struct {
+	FloatMap    FloatMapper
+	FloatReduce FloatReducer
+}
 
 var (
 	floatMappers  = map[uintptr]FloatMapper{}
@@ -99,20 +110,32 @@ func init() {
 }
 
 // planColumnRun reports whether input, m, and r can run on a float64 value
-// column: the input must carry a column and both kernels must have
-// registered column variants for that column's type.
-func planColumnRun(input *value.List, m Mapper, r Reducer) (kernels[float64], bool) {
-	fr, ok := floatReducers[fnPtr(r)]
-	if !ok {
+// column: the input must carry a column and both kernels must have column
+// variants for that column's type. A variant comes from given (the run's
+// Config.Columns, which cover float columns only) when set, else from the
+// registry.
+func planColumnRun(input *value.List, m Mapper, r Reducer, given ...Columns) (kernels[float64], bool) {
+	var cols Columns
+	if len(given) > 0 {
+		cols = given[0]
+	}
+	fr := cols.FloatReduce
+	if fr == nil {
+		fr = floatReducers[fnPtr(r)]
+	}
+	if fr == nil {
 		return kernels[float64]{}, false
 	}
 	if xs, isNum := input.FloatsView(); isNum {
-		fm, ok := floatMappers[fnPtr(m)]
+		fm := cols.FloatMap
+		if fm == nil {
+			fm = floatMappers[fnPtr(m)]
+		}
 		return kernels[float64]{
 			n:      len(xs),
 			mapf:   func(i int) (string, float64, error) { return fm(xs[i]) },
 			reduce: fr,
-		}, ok
+		}, fm != nil
 	}
 	if ss, isStr := input.StringsView(); isStr {
 		sm, ok := stringMappers[fnPtr(m)]

@@ -54,6 +54,10 @@ type Config struct {
 	// Label tags the run's trace span (see internal/obs); the mapReduce
 	// block passes the owning session's trace ID through here.
 	Label string
+	// Columns are the caller's column kernels for the run's mapper and
+	// reducer (see columnar.go); the zero value looks the stock registry
+	// up instead.
+	Columns Columns
 }
 
 // Result is the output of a run: one reduced pair per distinct key, sorted
@@ -87,7 +91,7 @@ func (r Result) Strings() []string {
 
 // kernels is what one run executes: mapf maps input item i to its pair and
 // reduce folds one key's values. The value column V is value.Value for a
-// general Mapper/Reducer and float64 for registered column kernels (see
+// general Mapper/Reducer and float64 for column kernels (see
 // columnar.go); either way the pipeline around them is the same.
 type kernels[V any] struct {
 	n      int
@@ -98,8 +102,8 @@ type kernels[V any] struct {
 // Run executes the full pipeline: parallel map, sort by key, group,
 // parallel reduce. Items cross the worker boundary by structured clone in
 // both phases, matching the Web-Worker discipline of §4. A column-backed
-// input whose mapper and reducer have registered column kernels runs the
-// same pipeline over flat arrays.
+// input whose mapper and reducer have column kernels (the caller's, or
+// registered stock ones) runs the same pipeline over flat arrays.
 func Run(input *value.List, m Mapper, r Reducer, cfg Config) (Result, error) {
 	if m == nil {
 		m = Identity
@@ -111,7 +115,7 @@ func Run(input *value.List, m Mapper, r Reducer, cfg Config) (Result, error) {
 	if w <= 0 {
 		w = workers.DefaultWorkers()
 	}
-	if k, ok := planColumnRun(input, m, r); ok {
+	if k, ok := planColumnRun(input, m, r, cfg.Columns); ok {
 		return run(k, w, cfg.Label)
 	}
 	return run(kernels[value.Value]{n: input.Len(), mapf: boxedMap(input, m), reduce: boxedReduce(r)}, w, cfg.Label)

@@ -186,6 +186,28 @@ func hashRing(r *blocks.Ring) (key string, cost int64, ok bool) {
 	return key, cost, true
 }
 
+// hashRingPair computes the content address of an ordered pair of
+// shipped rings, the key of a mapReduce kernel set in the ring tier. The
+// encoding opens with a parameter count no ring can have, so a pair never
+// shares an encoding (and so a key) with a single ring; each ring's own
+// encoding is self-delimiting, so the pair's is unambiguous.
+func hashRingPair(a, b *blocks.Ring) (key string, cost int64, ok bool) {
+	if a == nil || b == nil || a.Env != nil || b.Env != nil {
+		return "", 0, false
+	}
+	w := newHasher()
+	w.uint64(math.MaxUint64)
+	for _, r := range [2]*blocks.Ring{a, b} {
+		w.strs(r.Params)
+		w.node(r.Body)
+	}
+	if !w.ok {
+		return "", 0, false
+	}
+	key, cost = w.sum()
+	return key, cost, true
+}
+
 // BodyHash is Tier A's content address, exported for the shard router:
 // routing requests by the same key the per-backend project cache uses is
 // what keeps identical programs landing on the shard whose parse/lint

@@ -19,6 +19,9 @@
 //	after job (or many sessions running the same program) lowers it
 //	once; refused rings stop paying the full lowering walk per job, and
 //	their fallbacks{reason} counter stops being re-bumped per dispatch.
+//	The same tier holds the mapReduce block's kernel set per (map,
+//	reduce) ring pair (Pair), so the tree primitive, which meets fresh
+//	ring values on every evaluation, builds it once.
 //
 // Both tiers are LRU caches under a byte budget, safe for concurrent use,
 // and instrumented through internal/obs (engine_progcache_* series on

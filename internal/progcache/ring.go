@@ -64,6 +64,25 @@ func (rc *Rings) Compile(r *blocks.Ring) (compile.Fn, bool) {
 	return ent.fn, ent.ok
 }
 
+// Pair memoizes build for an ordered pair of shipped rings in rc's tier:
+// the mapReduce block's kernel set, built once per distinct (map, reduce)
+// pair instead of once per evaluation. A pair without a stable content
+// address, or a nil rc, builds directly. build may itself call Compile:
+// loads run outside the tier's lock.
+func Pair[T any](rc *Rings, a, b *blocks.Ring, build func() T) T {
+	if rc == nil || rc.c == nil {
+		return build()
+	}
+	key, cost, hashable := hashRingPair(a, b)
+	if !hashable {
+		return build()
+	}
+	v, _ := rc.c.get(key, func() (any, int64) {
+		return build(), cost + 2*ringEntryOverhead
+	})
+	return v.(T)
+}
+
 // Stats snapshots the tier's counters (zero value when disabled).
 func (rc *Rings) Stats() Stats {
 	if rc == nil || rc.c == nil {

@@ -109,3 +109,38 @@ func TestCompileConcurrentHammer(t *testing.T) {
 		t.Fatalf("ring compiled %d times under contention, want 1", st.Misses)
 	}
 }
+
+// TestPairBuildsOncePerOrderedPair pins the kernel-set memo: one build per
+// distinct ordered pair, kept apart from the pair reversed and from either
+// ring's own compile outcome, and a direct build when a ring has no
+// content address.
+func TestPairBuildsOncePerOrderedPair(t *testing.T) {
+	rc := NewRings(1 << 20)
+	a := ring(nil, blocks.NewBlock("reportSum", blocks.EmptySlot{}, blocks.Literal{Val: value.Number(1)}))
+	b := ring(nil, blocks.NewBlock("reportListLength", blocks.EmptySlot{}))
+	builds := 0
+	build := func() int { builds++; return builds }
+	for i := 0; i < 3; i++ {
+		if got := Pair(rc, a, b, build); got != 1 {
+			t.Fatalf("Pair(a, b) = build %d, want the first", got)
+		}
+	}
+	if got := Pair(rc, b, a, build); got != 2 {
+		t.Fatalf("Pair(b, a) = build %d, want a second build", got)
+	}
+	if _, ok := rc.Compile(a); !ok {
+		t.Fatal("a should compile next to its pair entries")
+	}
+	if st := rc.Stats(); st.Misses != 3 || st.Hits != 2 || st.Entries != 3 {
+		t.Fatalf("stats = %+v, want 3 misses / 2 hits / 3 entries", st)
+	}
+	withEnv := &blocks.Ring{Body: b.Body, Env: struct{}{}}
+	Pair(rc, a, withEnv, build)
+	Pair(rc, a, withEnv, build)
+	if builds != 4 {
+		t.Fatalf("%d builds, want an unhashable pair built on every call", builds)
+	}
+	if Pair[int](nil, a, b, build) != 5 {
+		t.Fatal("a nil tier must build directly")
+	}
+}

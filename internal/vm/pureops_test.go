@@ -1,6 +1,8 @@
 package vm
 
 import (
+	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/blocks"
@@ -8,6 +10,7 @@ import (
 	"repro/internal/compile"
 	"repro/internal/interp"
 	"repro/internal/lint"
+	"repro/internal/value"
 )
 
 // TestPureOpsCoverage walks the shared pure-primitive table and checks that
@@ -15,8 +18,9 @@ import (
 // lowering pass emits a table op for it, the ring compiler compiles it
 // (reporters only: kernels never run commands), and the linter enforces
 // its arity, and each code-mapping target either maps it or names it in
-// codegenUnmapped. A tier that silently stopped covering a primitive would
-// fall back to a slower path with no test noticing; this one does.
+// codegenUnmapped; an entry with a number form must agree with its boxed
+// form (checkNum2). A tier that silently stopped covering a primitive
+// would fall back to a slower path with no test noticing; this one does.
 func TestPureOpsCoverage(t *testing.T) {
 	for lang, ops := range codegenUnmapped {
 		for op := range ops {
@@ -43,7 +47,40 @@ func TestPureOpsCoverage(t *testing.T) {
 			}
 			checkLintArity(t, o)
 			checkCodegen(t, o)
+			checkNum2(t, o)
 		})
+	}
+}
+
+// num2Grid is the operand grid checkNum2 crosses with itself: signed
+// zeros (0 among them as a divisor), units, infinities, NaN, a value one
+// product from overflow, and a fraction.
+var num2Grid = []float64{0, math.Copysign(0, -1), 1, -1, math.Inf(1), math.Inf(-1), math.NaN(), 1e308, 2.5}
+
+// checkNum2 pins the one-definition rule for entries with a number form:
+// on every pair of grid operands, the boxed Fn reports Num2's error
+// wording, or Num2's value boxed by value.Num, bit for bit.
+func checkNum2(t *testing.T, o *interp.PureOp) {
+	t.Helper()
+	if o.Num2 == nil {
+		return
+	}
+	for _, a := range num2Grid {
+		for _, b := range num2Grid {
+			bv, berr := o.Fn([]value.Value{value.Num(a), value.Num(b)})
+			r, ferr := o.Num2(a, b)
+			if fmt.Sprint(berr) != fmt.Sprint(ferr) {
+				t.Errorf("(%v, %v): Fn error %v, Num2 error %v", a, b, berr, ferr)
+				continue
+			}
+			if berr != nil {
+				continue
+			}
+			n, ok := bv.(value.Number)
+			if want := value.Num(r).(value.Number); !ok || math.Float64bits(float64(n)) != math.Float64bits(float64(want)) {
+				t.Errorf("(%v, %v): Fn reports %v, Num2 %v", a, b, bv, r)
+			}
+		}
 	}
 }
 
