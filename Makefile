@@ -26,8 +26,9 @@ race:
 # inter-test ordering dependencies can't hide, repeat the router's
 # failover tests so the race between a backend closing a pooled
 # connection and the router writing to it keeps getting exercised, then
-# give both differential fuzzers — compiled-vs-interpreted rings and
-# lowered-vs-tree-walked scripts — a short burst, and finish with the
+# give the three differential fuzzers — compiled-vs-interpreted rings,
+# lowered-vs-tree-walked scripts, and the server's request envelope
+# scanner against encoding/json — a short burst, and finish with the
 # deterministic-seed cross-tier stress soak.
 check:
 	$(GO) vet ./...
@@ -40,6 +41,7 @@ check:
 	$(GO) test -race -count=10 -run 'E2EFailover|KillDuringTraffic|IdleClose' ./internal/shard
 	$(GO) test -run '^$$' -fuzz FuzzCompileRing -fuzztime 5s ./internal/compile/
 	$(GO) test -run '^$$' -fuzz FuzzLowerProject -fuzztime 5s ./internal/vm/
+	$(GO) test -run '^$$' -fuzz FuzzRequestEnvelope -fuzztime 5s ./internal/server/
 	$(MAKE) stress
 
 # stress runs the evolutionary cross-tier differential engine

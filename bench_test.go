@@ -15,6 +15,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 
 	"testing"
@@ -30,6 +31,7 @@ import (
 	"repro/internal/noaa"
 	"repro/internal/omp"
 	"repro/internal/parse"
+	"repro/internal/progcache"
 	"repro/internal/runtime"
 	"repro/internal/server"
 	"repro/internal/shard"
@@ -350,22 +352,7 @@ func BenchmarkE16Scheduling(b *testing.B) {
 // cache (CacheBytes < 0) — the pre-cache server, re-elaborating per
 // request.
 func BenchmarkE17RepeatedRun(b *testing.B) {
-	var src strings.Builder
-	src.WriteString("(project \"repeat\"\n")
-	src.WriteString("  (sprite \"Main\" (when green-flag (do (say \"hi\"))))\n")
-	for i := 0; i < 40; i++ {
-		fmt.Fprintf(&src, "  (sprite \"S%d\" (when (receive \"m%d\") (do", i, i)
-		for j := 0; j < 12; j++ {
-			fmt.Fprintf(&src, " (say (join \"v%d-\" (+ %d %d)))", j, i, j)
-		}
-		src.WriteString(")))\n")
-	}
-	src.WriteString(")")
-	body, err := json.Marshal(map[string]string{"project": src.String()})
-	if err != nil {
-		b.Fatal(err)
-	}
-
+	body := e17Body(b)
 	for _, mode := range []struct {
 		name       string
 		cacheBytes int64
@@ -388,6 +375,105 @@ func BenchmarkE17RepeatedRun(b *testing.B) {
 			}
 		})
 	}
+}
+
+// e17Body is E17's request body: 41 sprites, 16.5 KB of JSON.
+func e17Body(b *testing.B) []byte {
+	var src strings.Builder
+	src.WriteString("(project \"repeat\"\n")
+	src.WriteString("  (sprite \"Main\" (when green-flag (do (say \"hi\"))))\n")
+	for i := 0; i < 40; i++ {
+		fmt.Fprintf(&src, "  (sprite \"S%d\" (when (receive \"m%d\") (do", i, i)
+		for j := 0; j < 12; j++ {
+			fmt.Fprintf(&src, " (say (join \"v%d-\" (+ %d %d)))", j, i, j)
+		}
+		src.WriteString(")))\n")
+	}
+	src.WriteString(")")
+	body, err := json.Marshal(map[string]string{"project": src.String()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return body
+}
+
+// BenchmarkLayer times single layers of a served request, named after
+// perfbench's traced spans so a moving end-to-end row can be pinned to
+// the layer that moved it.
+//
+//   - server.json/<body>/indent reads the request envelope as the server
+//     does on its accept path (progcache.ScanEnvelope, the project left
+//     raw) and encodes the server's own reply with MarshalIndent, as
+//     writeJSON does. <body>/compact encodes with Marshal instead: the
+//     difference is what the indented reply format costs.
+//   - progcache.get is a Tier A hit on the E17 body: its key (a hash of
+//     the raw project token) plus the lookup.
+func BenchmarkLayer(b *testing.B) {
+	xml, err := os.ReadFile("projects/concession-parallel.xml")
+	if err != nil {
+		b.Fatal(err)
+	}
+	counting := `(project "counting" (sprite "S" (when green-flag (do (declare n) (set n 0) (repeat 1000 (do (change n 1))) (say $n)))))`
+	bodies := []struct {
+		name string
+		body []byte
+	}{
+		{"e17", e17Body(b)},
+		{"concession-xml", mustMarshal(b, server.RunRequest{Project: string(xml)})},
+		{"counting", mustMarshal(b, server.RunRequest{Project: counting})},
+	}
+	h := server.New(server.Config{Runtime: runtime.Config{MaxConcurrent: 4, MaxQueue: 8}}).Handler()
+	for _, bd := range bodies {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/run", bytes.NewReader(bd.body)))
+		var reply server.RunResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &reply); err != nil || rec.Code != 200 {
+			b.Fatalf("%s: %d %s", bd.name, rec.Code, rec.Body.String())
+		}
+		for _, enc := range []struct {
+			name    string
+			marshal func(any) ([]byte, error)
+		}{
+			{"indent", func(v any) ([]byte, error) { return json.MarshalIndent(v, "", "  ") }},
+			{"compact", json.Marshal},
+		} {
+			b.Run("server.json/"+bd.name+"/"+enc.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					env, ok := progcache.ScanEnvelope(bd.body)
+					if !ok || env.Project.Empty() {
+						b.Fatal("the scanner refused the body")
+					}
+					if _, err := enc.marshal(reply); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+
+	b.Run("progcache.get", func(b *testing.B) {
+		body := bodies[0].body
+		cache := progcache.NewProjects(progcache.DefaultProjectBudget)
+		env, _ := progcache.ScanEnvelope(body)
+		load := func() (*progcache.ProjectEntry, int) { return &progcache.ProjectEntry{}, len(body) }
+		cache.Lookup(env.Key(body), load)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, out := cache.Lookup(env.Key(body), load); out != progcache.OutcomeHit {
+				b.Fatal("miss")
+			}
+		}
+	})
+}
+
+func mustMarshal(b *testing.B, v any) []byte {
+	body, err := json.Marshal(v)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return body
 }
 
 // BenchmarkE18RoutedRun prices the shard-router hop: the same cached

@@ -9,12 +9,11 @@ import (
 	"repro/internal/value"
 )
 
-// This file defines the content addresses. Tier A's key is trivial — the
-// request body is already a canonical byte string, so it is hashed raw
-// with its declared format. Tier B's key is a canonical binary encoding
-// of a shipped ring's structure: every node and value is written with an
-// explicit type tag and every variable-length field with a length
-// prefix, so two rings collide only if they are structurally identical.
+// This file defines the structural content addresses. (Tier A's key is
+// the request's raw program token; see envelope.go.) Tier B's key is a
+// canonical binary encoding of a shipped ring's structure: every node and
+// value is written with an explicit type tag and every variable-length
+// field with a length prefix, so two rings collide only if they are structurally identical.
 // (Describe() strings are NOT used: they are for humans and would
 // conflate e.g. the text "5" with the number 5.)
 //
@@ -208,23 +207,11 @@ func hashRingPair(a, b *blocks.Ring) (key string, cost int64, ok bool) {
 	return key, cost, true
 }
 
-// BodyHash is Tier A's content address, exported for the shard router:
-// routing requests by the same key the per-backend project cache uses is
-// what keeps identical programs landing on the shard whose parse/lint
-// (and downstream ring-compile) caches already hold them.
-func BodyHash(src, format string) string { return hashBody(src, format) }
-
-// hashBody computes Tier A's content address: the raw project bytes plus
-// the declared format (the same bytes under "sblk" and "xml" must not
-// collide).
+// hashBody computes Tier A's content address of a decoded source (see
+// Projects.Get): its own key domain, so it never shares a key with the
+// raw tokens the server keys on (see Envelope.Key).
 func hashBody(src, format string) string {
-	h := sha256.New()
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], uint64(len(format)))
-	h.Write(b[:])
-	h.Write([]byte(format))
-	h.Write([]byte(src))
-	return string(h.Sum(nil))
+	return tierAKey(keyText, normFormat(format), nil, src)
 }
 
 // hashScript computes the structural content address of a whole script

@@ -6,12 +6,16 @@
 // pure waste; this package memoizes it in two tiers behind one
 // singleflight front:
 //
-//	Tier A (project): keyed on a hash of the raw request body (project
-//	bytes + declared format), stores the parsed *blocks.Project together
-//	with its lint findings. A thundering herd of identical submissions
-//	parses and lints once; everyone else replays the cached outcome —
-//	including cached *rejections* (parse errors, lint-fatal findings),
-//	so malformed resubmissions are as cheap as good ones.
+//	Tier A (project): keyed on a hash of the project as the request
+//	body carries it (the raw JSON string token, still escaped) plus the
+//	normalised format, stores the parsed *blocks.Project together with
+//	its lint findings. ScanEnvelope reads the body and Envelope.Key
+//	computes the key, for the server and for the shard router alike, so
+//	a cached request runs no encoding/json pass over its program and the
+//	router decodes no JSON at all. A thundering herd of identical
+//	submissions parses and lints once; everyone else replays the cached
+//	outcome — including cached *rejections* (parse errors, lint-fatal
+//	findings), so malformed resubmissions are as cheap as good ones.
 //
 //	Tier B (ring): keyed on a structural hash of a shipped blocks.Ring,
 //	stores the compile.Ring outcome — the compiled Fn on success, the

@@ -31,8 +31,8 @@ const (
 	projectASTFactor     = 3
 )
 
-func (e *ProjectEntry) cost(src string) int64 {
-	n := int64(projectEntryOverhead) + int64(len(src))*projectASTFactor
+func (e *ProjectEntry) cost(srcLen int) int64 {
+	n := int64(projectEntryOverhead) + int64(srcLen)*projectASTFactor
 	for _, f := range e.Fatal {
 		n += int64(len(f))
 	}
@@ -64,16 +64,28 @@ func NewProjects(budget int64) *Projects {
 	return &Projects{c: c}
 }
 
-// Get returns the elaboration outcome for the request body (src, format),
-// running load once per distinct body — concurrent callers for the same
-// missing body share one load.
+// Get returns the elaboration outcome for a decoded source (src, format),
+// running load once per distinct source — concurrent callers for the same
+// missing source share one load.
 func (p *Projects) Get(src, format string, load func() *ProjectEntry) (*ProjectEntry, Outcome) {
 	if p == nil || p.c == nil {
 		return load(), OutcomeMiss
 	}
-	v, out := p.c.get(hashBody(src, format), func() (any, int64) {
-		ent := load()
-		return ent, ent.cost(src)
+	return p.Lookup(hashBody(src, format), func() (*ProjectEntry, int) { return load(), len(src) })
+}
+
+// Lookup returns the elaboration outcome cached under key, a request's
+// Envelope.Key, running load once per distinct key. load returns the entry
+// and the length of the decoded source it elaborated, which prices the
+// entry.
+func (p *Projects) Lookup(key string, load func() (*ProjectEntry, int)) (*ProjectEntry, Outcome) {
+	if p == nil || p.c == nil {
+		ent, _ := load()
+		return ent, OutcomeMiss
+	}
+	v, out := p.c.get(key, func() (any, int64) {
+		ent, n := load()
+		return ent, ent.cost(n)
 	})
 	return v.(*ProjectEntry), out
 }

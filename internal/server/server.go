@@ -12,14 +12,17 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/http/pprof"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -40,7 +43,8 @@ type Config struct {
 	// MaxBodyBytes caps request bodies (default 1 MiB).
 	MaxBodyBytes int64
 	// CacheBytes is the byte budget of the content-addressed project
-	// cache (parsed ASTs + lint findings, keyed on the raw request body).
+	// cache (parsed ASTs + lint findings, keyed on the project as the
+	// request body carries it).
 	// 0 means the progcache default; negative disables caching, so every
 	// request re-parses and re-lints.
 	CacheBytes int64
@@ -192,19 +196,116 @@ func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 	writeJSON(w, code, errorBody{Error: fmt.Sprintf(format, args...)})
 }
 
-// decodeBody parses the JSON request body into v, translating the
-// MaxBytesReader error into 413.
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooBig.Limit)
-		} else {
-			writeError(w, http.StatusBadRequest, "decode request: %v", err)
-		}
-		return false
+// request is one run or codegen body, read once, with the bytes it came
+// from: they key Tier A when the scanner refused the body.
+type request struct {
+	progcache.Envelope
+	body []byte
+	buf  *[]byte // the pooled buffer body lives in
+}
+
+// bodyBufs recycles body buffers. Nothing read from a body outlives its
+// handler: the Tier A key, the unquoted source and what encoding/json
+// decodes are all copies.
+var bodyBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// maxPooledBody bounds the buffers kept for reuse, so one large upload
+// does not stay resident.
+const maxPooledBody = 64 << 10
+
+// free returns the body's buffer to the pool; the request must not be
+// read afterwards.
+func (q *request) free() {
+	if q.buf != nil && cap(q.body) <= maxPooledBody {
+		*q.buf = q.body[:0]
+		bodyBufs.Put(q.buf)
 	}
-	return true
+	*q = request{}
+}
+
+// readRequest reads a run or codegen body and answers a malformed or
+// oversized one (413 when the cap cut its object short, else 400). v is a
+// pointer to the endpoint's request type, which encoding/json fills when
+// the scanner refuses the body. ok is false when the request was
+// answered.
+func (s *Server) readRequest(w http.ResponseWriter, r *http.Request, v any) (request, bool) {
+	q, err := decodeRequest(r.Body, r.ContentLength, s.cfg.MaxBodyBytes, v)
+	if err != nil {
+		code, msg := decodeError(err)
+		writeError(w, code, "%s", msg)
+		return request{}, false
+	}
+	return q, true
+}
+
+// decodeError is the status and wording of a body that failed to decode.
+func decodeError(err error) (int, string) {
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		return http.StatusRequestEntityTooLarge, fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit)
+	}
+	return http.StatusBadRequest, fmt.Sprintf("decode request: %v", err)
+}
+
+// decodeRequest reads the body once, at most limit bytes of it (size is
+// the declared length, -1 if unknown), and scans it. A body the scanner
+// refuses is decoded into v by encoding/json from the same bytes, then
+// from rd onwards: a body past the cap, or a read error, reaches the
+// decoder where it would have reading rd alone, so status and wording
+// are encoding/json's. The caller frees a request it got without error.
+func decodeRequest(rd io.Reader, size, limit int64, v any) (request, error) {
+	q := request{buf: bodyBufs.Get().(*[]byte)}
+	q.body = readUpTo(*q.buf, rd, size, limit)
+	if env, ok := progcache.ScanEnvelope(q.body); ok {
+		q.Envelope = env
+		return q, nil
+	}
+	if err := json.NewDecoder(io.MultiReader(bytes.NewReader(q.body), rd)).Decode(v); err != nil {
+		q.free()
+		return request{}, err
+	}
+	switch req := v.(type) {
+	case *RunRequest:
+		q.Envelope = progcache.Envelope{
+			Project: progcache.Text(req.Project), Format: req.Format,
+			TimeoutMS: req.TimeoutMS, MaxSteps: req.MaxSteps,
+			MaxRounds: int64(req.MaxRounds), MaxTraceLines: int64(req.MaxTraceLines),
+		}
+	case *CodegenRequest:
+		q.Envelope = progcache.Envelope{
+			Script: progcache.Text(req.Script), Project: progcache.Text(req.Project),
+			Format: req.Format, Lang: req.Lang,
+		}
+	default:
+		panic(fmt.Sprintf("server: decode into %T", v))
+	}
+	return q, nil
+}
+
+// readUpTo reads rd to its end, or to limit bytes, into buf, replaced by
+// one buffer sized from the declared length when it is too small. It
+// never asks rd for a byte past limit, so reading the body does not by
+// itself trip the cap: the decoder does, if it needs a byte past it. Read
+// errors are left in rd for the decoder.
+func readUpTo(buf []byte, rd io.Reader, size, limit int64) []byte {
+	if size < 0 {
+		size = 512
+	}
+	if want := min(size, limit) + 1; int64(cap(buf)) < want {
+		buf = make([]byte, 0, want)
+	}
+	buf = buf[:0]
+	lr := io.LimitedReader{R: rd, N: limit}
+	for {
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+		n, err := lr.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err != nil {
+			return buf
+		}
+	}
 }
 
 // decodeProject turns an uploaded project (textual .sblk s-expressions or
@@ -252,15 +353,23 @@ func elaborate(src, format string) *progcache.ProjectEntry {
 	return ent
 }
 
-// project resolves a request body through the Tier A cache (straight
-// through elaborate when caching is disabled) and translates cached
-// rejections into their HTTP replies. ok is false when the request was
-// answered; otherwise the entry's Project and Warnings are live — and
-// shared with other requests, so callers must treat them as read-only.
-func (s *Server) project(w http.ResponseWriter, src, format string) (*progcache.ProjectEntry, bool) {
-	ent, _ := s.cache.Get(src, format, func() *progcache.ProjectEntry {
-		return elaborate(src, format)
-	})
+// project resolves a request's project through the Tier A cache
+// (straight through elaborate when caching is disabled) and translates
+// cached rejections into their HTTP replies. The project is unquoted only
+// when it is elaborated. ok is false when the request was answered;
+// otherwise the entry's Project and Warnings are live — and shared with
+// other requests, so callers must treat them as read-only.
+func (s *Server) project(w http.ResponseWriter, q *request) (*progcache.ProjectEntry, bool) {
+	load := func() (*progcache.ProjectEntry, int) {
+		src := q.Project.String()
+		return elaborate(src, q.Format), len(src)
+	}
+	var ent *progcache.ProjectEntry
+	if s.cache != nil {
+		ent, _ = s.cache.Lookup(q.Key(q.body), load) // the key the router placed it by
+	} else {
+		ent, _ = load()
+	}
 	switch {
 	case ent.ParseErr != "":
 		writeError(w, http.StatusBadRequest, "parse project: %s", ent.ParseErr)
@@ -303,19 +412,20 @@ type RunResponse struct {
 }
 
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
-	var req RunRequest
-	if !decodeBody(w, r, &req) {
+	q, ok := s.readRequest(w, r, new(RunRequest))
+	if !ok {
 		return
 	}
-	ent, ok := s.project(w, req.Project, req.Format)
+	defer q.free()
+	ent, ok := s.project(w, &q)
 	if !ok {
 		return
 	}
 	lim := runtime.Limits{
-		Timeout:       time.Duration(req.TimeoutMS) * time.Millisecond,
-		MaxSteps:      req.MaxSteps,
-		MaxRounds:     req.MaxRounds,
-		MaxTraceLines: req.MaxTraceLines,
+		Timeout:       time.Duration(q.TimeoutMS) * time.Millisecond,
+		MaxSteps:      q.MaxSteps,
+		MaxRounds:     int(q.MaxRounds),
+		MaxTraceLines: int(q.MaxTraceLines),
 	}
 	// A router in front of us stamps X-Request-ID; adopting it as the
 	// session's trace ID makes the engine job spans of this run
@@ -377,25 +487,26 @@ type CodegenResponse struct {
 }
 
 func (s *Server) handleCodegen(w http.ResponseWriter, r *http.Request) {
-	var req CodegenRequest
-	if !decodeBody(w, r, &req) {
+	q, ok := s.readRequest(w, r, new(CodegenRequest))
+	if !ok {
 		return
 	}
+	defer q.free()
 	var script *blocks.Script
 	var warnings []string
 	switch {
-	case req.Script != "" && req.Project != "":
+	case !q.Script.Empty() && !q.Project.Empty():
 		writeError(w, http.StatusBadRequest, "give either script or project, not both")
 		return
-	case req.Script != "":
+	case !q.Script.Empty():
 		var err error
-		script, err = parse.Script(req.Script)
+		script, err = parse.Script(q.Script.String())
 		if err != nil {
 			writeError(w, http.StatusBadRequest, "parse script: %v", err)
 			return
 		}
-	case req.Project != "":
-		ent, ok := s.project(w, req.Project, req.Format)
+	case !q.Project.Empty():
+		ent, ok := s.project(w, &q)
 		if !ok {
 			return
 		}
@@ -409,7 +520,7 @@ func (s *Server) handleCodegen(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	lang := strings.ToLower(req.Lang)
+	lang := strings.ToLower(q.Lang)
 	if lang == "" {
 		lang = "c"
 	}

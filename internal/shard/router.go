@@ -280,33 +280,13 @@ func (rt *Router) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool
 	return body, true
 }
 
-// routeBody is the slice of a run/codegen request the router needs for
-// placement. Everything else in the body is opaque and forwarded as-is.
-type routeBody struct {
-	Project string `json:"project"`
-	Script  string `json:"script"`
-	Format  string `json:"format"`
-}
-
 // placementKey computes the consistent-hash key for a request body: the
-// program-cache Tier A content address of the program source, so a
-// request routes to the shard whose caches already hold that program.
-// Undecodable bodies key on their raw bytes — the malformed resubmission
-// replays its cached 400 on one shard instead of paying a fresh parse
-// failure on a random one.
-func placementKey(body []byte) string {
-	var rb routeBody
-	if err := json.Unmarshal(body, &rb); err == nil {
-		src := rb.Project
-		if src == "" {
-			src = rb.Script
-		}
-		if src != "" {
-			return progcache.BodyHash(src, strings.ToLower(rb.Format))
-		}
-	}
-	return progcache.BodyHash(string(body), "raw")
-}
+// program cache's Tier A key, computed by the same scan and key function
+// as the backend's, so a request routes to the shard whose caches
+// already hold that program. The router decodes no JSON: the key covers
+// the raw program token, and a body the scanner refuses keys on its own
+// bytes, as it does on the backend.
+func placementKey(body []byte) string { return progcache.RequestKey(body) }
 
 // attemptTrace watches one forward's connection through httptrace and
 // decides whether the backend was never served. Its callbacks run on the
