@@ -24,11 +24,12 @@ race:
 # the execution service and the shard router with its concurrent failover
 # e2e, plus the evolutionary stress engine itself), shuffled so
 # inter-test ordering dependencies can't hide, repeat the router's
-# failover tests so the race between a backend closing a pooled
-# connection and the router writing to it keeps getting exercised, then
-# give the three differential fuzzers — compiled-vs-interpreted rings,
-# lowered-vs-tree-walked scripts, and the server's request envelope
-# scanner against encoding/json — a short burst, and finish with the
+# failover and forwarder tests so the race between a backend closing a
+# pooled connection and the router writing to it keeps getting
+# exercised, then give the four differential fuzzers — compiled-vs-
+# interpreted rings, lowered-vs-tree-walked scripts, the server's request
+# envelope scanner against encoding/json, and the router's forwarder
+# against net/http's Transport — a short burst, and finish with the
 # deterministic-seed cross-tier stress soak.
 check:
 	$(GO) vet ./...
@@ -38,10 +39,11 @@ check:
 		./internal/runtime/... ./internal/server/... ./internal/obs/... \
 		./internal/shard/... ./internal/evo/... ./internal/value/... \
 		./internal/ingest/...
-	$(GO) test -race -count=10 -run 'E2EFailover|KillDuringTraffic|IdleClose' ./internal/shard
+	$(GO) test -race -count=10 -run 'E2EFailover|KillDuringTraffic|IdleClose|LongReplyRelayed|ClientGoneMidForward|ConnectionCloseNotReused|ClientBytesNeverReachTheWire' ./internal/shard
 	$(GO) test -run '^$$' -fuzz FuzzCompileRing -fuzztime 5s ./internal/compile/
 	$(GO) test -run '^$$' -fuzz FuzzLowerProject -fuzztime 5s ./internal/vm/
 	$(GO) test -run '^$$' -fuzz FuzzRequestEnvelope -fuzztime 5s ./internal/server/
+	$(GO) test -run '^$$' -fuzz FuzzForwardReply -fuzztime 5s ./internal/shard/
 	$(MAKE) stress
 
 # stress runs the evolutionary cross-tier differential engine

@@ -17,8 +17,8 @@ import (
 	"net/http/httptest"
 	"os"
 	"strings"
-
 	"testing"
+	"time"
 
 	"repro/internal/bench"
 	"repro/internal/blocks"
@@ -466,6 +466,39 @@ func BenchmarkLayer(b *testing.B) {
 			}
 		}
 	})
+
+	// shard.forward: the counting body, cached on its backend, through
+	// shard.New's handler to one loopback snapserved, over the router's
+	// own connection pools and over Config.Client with http.Transport.
+	// The two differ only in the hop.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	hs := &http.Server{Handler: h}
+	go hs.Serve(ln) //nolint:errcheck // ends at Close
+	defer hs.Close()
+	for _, fw := range []struct {
+		name   string
+		client *http.Client
+	}{{"default", nil}, {"transport", &http.Client{Transport: &http.Transport{}}}} {
+		b.Run("shard.forward/"+fw.name, func(b *testing.B) {
+			rt, err := shard.New(shard.Config{Backends: []string{"http://" + ln.Addr().String()}, Client: fw.client, HealthInterval: time.Hour})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer rt.Close()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rec := httptest.NewRecorder()
+				rt.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/v1/run", bytes.NewReader(bodies[2].body)))
+				if rec.Code != 200 {
+					b.Fatalf("status %d: %s", rec.Code, rec.Body.String())
+				}
+			}
+		})
+	}
 }
 
 func mustMarshal(b *testing.B, v any) []byte {

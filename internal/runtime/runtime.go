@@ -466,9 +466,13 @@ func (mgr *Manager) execute(ctx context.Context, s *Session, project *blocks.Pro
 		})
 	}
 
+	// A finished session keeps its result, not its machine: the manager
+	// holds KeepDone finished sessions, and each machine pins its frames,
+	// globals and actors. TraceLines reads res.Trace from here on.
 	s.mu.Lock()
 	s.state = StateDone
 	s.res = res
+	s.machine = nil
 	s.mu.Unlock()
 	close(s.done)
 

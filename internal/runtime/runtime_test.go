@@ -263,3 +263,54 @@ func TestSessionCancelAndRegistry(t *testing.T) {
 		t.Fatal("finished session fell out of the registry")
 	}
 }
+
+// TestFinishedSessionReleasesMachine: the manager keeps finished sessions
+// for GET /v1/sessions, but not their machines. The finalizer sits on the
+// machine's stage timer, which only the machine reaches: a machine is in
+// a cycle with its processes, and a finalizer on an object in a cycle
+// need never run.
+func TestFinishedSessionReleasesMachine(t *testing.T) {
+	mgr := NewManager(Config{})
+	collected := make(chan struct{})
+	ran := make(chan *Session, 1)
+	go func() {
+		s, err := mgr.Run(context.Background(), mustProject(t, foreverSrc), Limits{Timeout: 200 * time.Millisecond})
+		if err != nil {
+			t.Error(err)
+		}
+		ran <- s
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for watched := false; !watched; {
+		if time.Now().After(deadline) {
+			t.Fatal("the session never started running")
+		}
+		mgr.mu.Lock()
+		for _, s := range mgr.sessions {
+			s.mu.Lock()
+			if s.machine != nil {
+				runtime.SetFinalizer(s.machine.Stage.Timer, func(any) { close(collected) })
+				watched = true
+			}
+			s.mu.Unlock()
+		}
+		mgr.mu.Unlock()
+		time.Sleep(time.Millisecond)
+	}
+	s := <-ran
+	// The manager and the session stay live through the collections below.
+	defer runtime.KeepAlive(mgr)
+	defer runtime.KeepAlive(s)
+	if res, done := s.Result(); !done || len(res.Trace) != len(s.TraceLines()) {
+		t.Fatalf("session not done, or its trace lost: %+v", res)
+	}
+	for i := 0; i < 50; i++ {
+		runtime.GC()
+		select {
+		case <-collected:
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	t.Fatal("a finished session still holds its machine")
+}

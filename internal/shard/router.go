@@ -13,12 +13,14 @@ import (
 	"net/http"
 	"net/http/httptrace"
 	"net/http/pprof"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"syscall"
 	"time"
+	"unicode/utf8"
 
 	"repro/internal/obs"
 	"repro/internal/progcache"
@@ -54,11 +56,12 @@ type Config struct {
 	SessionMemory int
 	// EnablePprof mounts net/http/pprof under /debug/pprof/.
 	EnablePprof bool
-	// Client overrides the forwarding HTTP client (tests; default is a
-	// dedicated client pooling keep-alive connections, up to MaxInflight
-	// idle ones per backend, with no global timeout — per-request
-	// contexts govern instead, since a governed session may legitimately
-	// run for its full wall-clock budget).
+	// Client, when set, forwards through this HTTP client instead of the
+	// router's own keep-alive connections (up to MaxInflight idle ones per
+	// backend, driven on the handler goroutine; see forward.go). Either
+	// way no global timeout applies: per-request contexts govern, since a
+	// governed session may legitimately run for its full wall-clock
+	// budget.
 	Client *http.Client
 }
 
@@ -117,7 +120,8 @@ type Router struct {
 	ring   *Ring
 	health *healthTracker
 	adm    *admitter
-	client *http.Client
+	client *http.Client // nil: forward through pools
+	pools  []*connPool  // one per backend slot
 	mux    *http.ServeMux
 
 	requests []atomic.Int64
@@ -133,9 +137,9 @@ type Router struct {
 
 // New builds a router over the configured backends and starts its health
 // probes. Callers must Close it to stop them. Forwards reuse pooled
-// keep-alive connections; the retry rule does not depend on the client
-// dialing afresh, because attempt asks the connection itself whether the
-// backend was ever served (see unsent).
+// keep-alive connections; the retry rule does not depend on dialing
+// afresh, because each attempt records whether the backend was ever
+// served (see unsent).
 func New(cfg Config) (*Router, error) {
 	cfg = cfg.withDefaults()
 	if len(cfg.Backends) == 0 {
@@ -168,19 +172,12 @@ func New(cfg Config) (*Router, error) {
 		// Every admitted request may be in flight to one backend at
 		// once, so MaxInflight idle connections per backend is enough
 		// for a burst to find them all again on the way back.
-		//
-		// Idle connections close after half a probe interval. When a
-		// dial finishes after its request took another connection, the
-		// transport pools the new one unused, and a backend's graceful
-		// Shutdown waits up to 5 s for a connection that never carried
-		// a request. The timeout bounds that wait by half a probe
-		// interval instead; under traffic the connections in use never
-		// sit idle that long.
-		rt.client = &http.Client{
-			Transport: &http.Transport{
-				MaxIdleConnsPerHost: cfg.MaxInflight,
-				IdleConnTimeout:     cfg.HealthInterval / 2,
-			},
+		for _, b := range backends {
+			p, err := newConnPool(b, cfg.MaxInflight)
+			if err != nil {
+				return nil, fmt.Errorf("shard: %w", err)
+			}
+			rt.pools = append(rt.pools, p)
 		}
 	}
 	rt.health = newHealthTracker(rt.ring, backends, cfg.HealthInterval, cfg.FailThreshold)
@@ -204,8 +201,13 @@ func New(cfg Config) (*Router, error) {
 // Handler returns the routed HTTP handler.
 func (rt *Router) Handler() http.Handler { return rt.mux }
 
-// Close stops the health probes.
-func (rt *Router) Close() { rt.health.close() }
+// Close stops the health probes and closes the idle pooled connections.
+func (rt *Router) Close() {
+	rt.health.close()
+	for _, p := range rt.pools {
+		p.close()
+	}
+}
 
 // Ring exposes the hash ring (tests and the smoke mode).
 func (rt *Router) Ring() *Ring { return rt.ring }
@@ -251,23 +253,29 @@ func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 // requestID returns the client's X-Request-ID or mints one. The ID rides
 // the forwarded request, comes back on the response, and becomes the
 // backend session's trace ID — one identifier from client through router
-// through engine job spans.
-func requestID(r *http.Request) string {
-	if id := r.Header.Get("X-Request-ID"); id != "" {
-		return id
+// through engine job spans. ok is false, and the request answered, when
+// the client's ID cannot be sent as a header value.
+func requestID(w http.ResponseWriter, r *http.Request) (string, bool) {
+	id := r.Header.Get("X-Request-ID")
+	if id == "" {
+		var b [8]byte
+		if _, err := rand.Read(b[:]); err != nil {
+			panic("shard: no entropy for request IDs: " + err.Error())
+		}
+		id = "r-" + hex.EncodeToString(b[:])
+	} else if !validHeaderValue(id) {
+		writeError(w, http.StatusBadRequest, "invalid X-Request-ID header")
+		return "", false
 	}
-	var b [8]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		panic("shard: no entropy for request IDs: " + err.Error())
-	}
-	return "r-" + hex.EncodeToString(b[:])
+	w.Header().Set("X-Request-ID", id)
+	return id, true
 }
 
 // readBody drains the (capped) request body, answering 413 on overflow.
 // ok is false when the request was already answered.
 func (rt *Router) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
 	r.Body = http.MaxBytesReader(w, r.Body, rt.cfg.MaxBodyBytes)
-	body, err := io.ReadAll(r.Body)
+	body, err := readAll(r.Body, r.ContentLength)
 	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
@@ -316,20 +324,25 @@ func (at *attemptTrace) clientTrace() *httptrace.ClientTrace {
 	}
 }
 
+// unsent applies the retry rule to what the trace saw.
+func (at *attemptTrace) unsent(err error) bool {
+	return unsent(at.reused.Load(), at.wroteHeaders.Load(), at.gotByte.Load(), err)
+}
+
 // unsent reports whether a failed attempt provably never reached a
 // handler on the backend — the only failure a non-idempotent request
 // may replay elsewhere. Two cases qualify, both before any response
-// byte: the request's headers never left (dial errors included), or
-// they went out on a reused keep-alive connection and the peer hung up
-// without answering. A Go http.Server closes a connection it is serving
-// only after answering, so that hang-up is the backend closing an idle
-// connection it never read from, or its process exiting with the run
-// dying with it.
-func (at *attemptTrace) unsent(err error) bool {
-	if at.gotByte.Load() {
+// byte (gotByte): the request's headers never left (wrote; dial errors
+// included), or they went out on a reused keep-alive connection and the
+// peer hung up without answering. A Go http.Server closes a connection
+// it is serving only after answering, so that hang-up is the backend
+// closing an idle connection it never read from, or its process exiting
+// with the run dying with it.
+func unsent(reused, wrote, gotByte bool, err error) bool {
+	if gotByte {
 		return false
 	}
-	return !at.wroteHeaders.Load() || at.reused.Load() && peerHungUp(err)
+	return !wrote || reused && peerHungUp(err)
 }
 
 // peerHungUp reports the errors a connection ends with when the backend
@@ -359,13 +372,29 @@ func (rt *Router) backoff(ctx context.Context, attempt int) {
 // attempt forwards one request to one backend and buffers the full
 // response. Buffering is what makes retry safe: nothing is written to
 // the client until a backend answered, so a failed attempt leaves the
-// client connection untouched. On failure, unsent reports whether the
+// client connection untouched. On failure, isUnsent reports whether the
 // backend provably never served the request.
-func (rt *Router) attempt(ctx context.Context, backend int, method, path, reqID, contentType string, body []byte) (resp *http.Response, respBody []byte, unsent bool, err error) {
+func (rt *Router) attempt(ctx context.Context, backend int, method, path, reqID, contentType string, body []byte) (resp *http.Response, respBody []byte, isUnsent bool, err error) {
 	rt.requests[backend].Add(1)
 	if obs.Enabled() {
 		obs.ShardRequests.With(strconv.Itoa(backend)).Inc()
 	}
+	if rt.client == nil {
+		resp, respBody, isUnsent, err = rt.pools[backend].forward(ctx, method, path, reqID, contentType, body)
+	} else {
+		resp, respBody, isUnsent, err = rt.attemptClient(ctx, backend, method, path, reqID, contentType, body)
+	}
+	if err == nil && resp.StatusCode < 100 {
+		// net/http reads any three digits as a status, but no handler
+		// can relay one below 100.
+		return nil, nil, false, fmt.Errorf("backend %d answered status %d", backend, resp.StatusCode)
+	}
+	return resp, respBody, isUnsent, err
+}
+
+// attemptClient is attempt through Config.Client, watching the connection
+// with httptrace to tell an unsent failure.
+func (rt *Router) attemptClient(ctx context.Context, backend int, method, path, reqID, contentType string, body []byte) (*http.Response, []byte, bool, error) {
 	var rd io.Reader
 	if body != nil {
 		rd = bytes.NewReader(body)
@@ -379,12 +408,12 @@ func (rt *Router) attempt(ctx context.Context, backend int, method, path, reqID,
 		req.Header.Set("Content-Type", contentType)
 	}
 	req.Header.Set("X-Request-ID", reqID)
-	resp, err = rt.client.Do(req)
+	resp, err := rt.client.Do(req)
 	if err != nil {
 		return nil, nil, at.unsent(err), err
 	}
 	defer resp.Body.Close()
-	respBody, err = io.ReadAll(resp.Body)
+	respBody, err := io.ReadAll(resp.Body)
 	if err != nil {
 		return nil, nil, false, err
 	}
@@ -409,8 +438,15 @@ func copyResponse(w http.ResponseWriter, resp *http.Response, body []byte) {
 // backend may have served the request it may have side effects there,
 // and replaying a non-idempotent request is worse than an honest 502.
 func (rt *Router) forwardKeyed(w http.ResponseWriter, r *http.Request, path string, body []byte) (*http.Response, []byte, int, bool) {
-	reqID := requestID(r)
-	w.Header().Set("X-Request-ID", reqID)
+	reqID, ok := requestID(w, r)
+	if !ok {
+		return nil, nil, 0, false
+	}
+	contentType := r.Header.Get("Content-Type")
+	if !validHeaderValue(contentType) {
+		writeError(w, http.StatusBadRequest, "invalid Content-Type header")
+		return nil, nil, 0, false
+	}
 	prefs := rt.ring.Prefer(placementKey(body))
 	if len(prefs) == 0 {
 		w.Header().Set("Retry-After", rt.adm.retryAfter())
@@ -432,7 +468,7 @@ func (rt *Router) forwardKeyed(w http.ResponseWriter, r *http.Request, path stri
 				break
 			}
 		}
-		resp, respBody, unsent, err := rt.attempt(r.Context(), backend, r.Method, path, reqID, r.Header.Get("Content-Type"), body)
+		resp, respBody, unsent, err := rt.attempt(r.Context(), backend, r.Method, path, reqID, contentType, body)
 		if err == nil {
 			rt.health.reportForwardOK(backend)
 			return resp, respBody, backend, true
@@ -469,13 +505,37 @@ func (rt *Router) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 	// Stamp the session→shard mapping so GET /v1/sessions/{id} finds the
 	// backend that owns this session. Faulted runs (500) carry an ID too.
+	if id := sessionID(respBody); id != "" {
+		rt.recordSession(id, backend)
+	}
+	copyResponse(w, resp, respBody)
+}
+
+// sessionID returns the session ID a run reply carries. snapserved writes
+// "id" as the first key, so a reply that opens with a plain ASCII ID
+// string gives it up without a pass over the rest, trace and stage
+// included; any other reply is decoded in full.
+func sessionID(reply []byte) string {
+	for _, open := range []string{"{\n  \"id\": \"", `{"id":"`} {
+		if rest, ok := bytes.CutPrefix(reply, []byte(open)); ok {
+			for i, c := range rest {
+				if c == '"' {
+					return string(rest[:i])
+				}
+				if c < ' ' || c == '\\' || c >= utf8.RuneSelf {
+					break
+				}
+			}
+			break
+		}
+	}
 	var run struct {
 		ID string `json:"id"`
 	}
-	if json.Unmarshal(respBody, &run) == nil && run.ID != "" {
-		rt.recordSession(run.ID, backend)
+	if json.Unmarshal(reply, &run) != nil {
+		return ""
 	}
-	copyResponse(w, resp, respBody)
+	return run.ID
 }
 
 func (rt *Router) handleCodegen(w http.ResponseWriter, r *http.Request) {
@@ -504,13 +564,20 @@ func (rt *Router) handleCodegen(w http.ResponseWriter, r *http.Request) {
 // the same backend.
 func (rt *Router) handleSession(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
+	if strings.IndexFunc(id, func(c rune) bool { return c < ' ' || c == 0x7f }) >= 0 {
+		writeError(w, http.StatusBadRequest, "session ID %q holds a control character", id)
+		return
+	}
 	backend, ok := rt.sessionBackend(id)
 	if !ok {
 		writeError(w, http.StatusNotFound, "no session %q routed through this cluster", id)
 		return
 	}
-	reqID := requestID(r)
-	w.Header().Set("X-Request-ID", reqID)
+	reqID, ok := requestID(w, r)
+	if !ok {
+		return
+	}
+	path := "/v1/sessions/" + url.PathEscape(id)
 	var lastErr error
 	for attempt := 0; attempt <= rt.cfg.MaxRetries; attempt++ {
 		if attempt > 0 {
@@ -523,7 +590,7 @@ func (rt *Router) handleSession(w http.ResponseWriter, r *http.Request) {
 				break
 			}
 		}
-		resp, respBody, unsent, err := rt.attempt(r.Context(), backend, http.MethodGet, "/v1/sessions/"+id, reqID, "", nil)
+		resp, respBody, unsent, err := rt.attempt(r.Context(), backend, http.MethodGet, path, reqID, "", nil)
 		if err == nil {
 			rt.health.reportForwardOK(backend)
 			copyResponse(w, resp, respBody)

@@ -196,35 +196,6 @@ func TestMapManyConcurrentJobs(t *testing.T) {
 	wg.Wait()
 }
 
-// TestWorkerProcessedConcurrentRead reads the processed counter while the
-// worker is handling messages — the data race the atomic fixed; the race
-// detector in `make check` guards it.
-func TestWorkerProcessedConcurrentRead(t *testing.T) {
-	w := Spawn(0, ident)
-	defer w.Terminate()
-	stop := make(chan struct{})
-	go func() {
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-				_ = w.Processed()
-			}
-		}
-	}()
-	for i := 0; i < 100; i++ {
-		w.PostMessage(value.NumInt(i))
-		if _, ok := w.Receive(); !ok {
-			t.Fatal("worker terminated early")
-		}
-	}
-	close(stop)
-	if got := w.Processed(); got != 100 {
-		t.Fatalf("processed = %d, want 100", got)
-	}
-}
-
 // TestMapReportsLowestFailingElement pins worker-count invariance of the
 // error wording: when every element fails, the job names element 1 at any
 // worker count and under every assignment policy, never whichever

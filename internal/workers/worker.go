@@ -1,24 +1,22 @@
 // Package workers emulates HTML5 Web Workers and the Parallel.js library
-// the paper builds on (§4.1). A Worker is an isolated thread of execution
-// that shares no memory with its creator: every message crossing the
-// boundary is structured-cloned, exactly as the browser's postMessage does.
-// On top of workers, the Parallel type reproduces the Parallel.js API used
-// in Listing 1 — construct with data and a maxWorkers option, then map or
-// reduce a function across the data on the worker pool.
+// the paper builds on (§4.1). The Parallel type reproduces the Parallel.js
+// API used in Listing 1: construct it with data and a maxWorkers option,
+// then map or reduce a function across the data on the worker pool.
 //
 // "Each HTML5 Web Worker corresponds to a single thread and runs
 // independently from other workers and independently from the
-// user-interface thread" — here each worker is a goroutine, and the
-// share-nothing discipline is enforced by cloning rather than by process
-// isolation, which preserves the observable semantics.
+// user-interface thread." Here the threads are the persistent goroutines
+// of the SharedPool, and the unit of isolation is the boundary every
+// element crosses: each input is structured-cloned into the handler and
+// each result cloned back out, as postMessage does, and a handler that
+// panics fails its job with an error, as a worker reports through onerror.
+// Cloning rather than process isolation preserves the observable
+// semantics.
 package workers
 
 import (
-	"errors"
 	"fmt"
 	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/value"
 )
@@ -37,67 +35,9 @@ func DefaultWorkers() int {
 // "By default, four Web Workers are created."
 const PaperDefaultWorkers = 4
 
-// Message is what crosses a worker boundary: a payload value plus an
-// optional error (workers report failures via onerror in the browser).
-type Message struct {
-	Data value.Value
-	Err  error
-}
-
-// Handler is the worker's script: it receives each incoming message's data
-// and returns the reply, like an onmessage that always posts a response.
+// Handler is the worker's script: it receives each element's data and
+// returns the reply, like an onmessage that always posts a response.
 type Handler func(value.Value) (value.Value, error)
-
-// Worker is one emulated Web Worker.
-type Worker struct {
-	id     int
-	inbox  chan value.Value
-	outbox chan Message
-	done   chan struct{}
-	once   sync.Once
-
-	// processed counts messages handled. It is incremented on the worker
-	// goroutine and read concurrently from pool stats, so it must be
-	// atomic: the old plain int64 was a data race under -race.
-	processed atomic.Int64
-}
-
-// Spawn starts a worker running the given handler. The worker loops,
-// cloning each incoming value, applying the handler, cloning the result
-// back out — the double structured-clone of real postMessage round trips.
-func Spawn(id int, h Handler) *Worker {
-	w := &Worker{
-		id:     id,
-		inbox:  make(chan value.Value, 16),
-		outbox: make(chan Message, 16),
-		done:   make(chan struct{}),
-	}
-	go w.loop(h)
-	return w
-}
-
-func (w *Worker) loop(h Handler) {
-	for {
-		select {
-		case <-w.done:
-			close(w.outbox)
-			return
-		case v, ok := <-w.inbox:
-			if !ok {
-				close(w.outbox)
-				return
-			}
-			in := safeClone(v)
-			out, err := runHandler(h, in)
-			w.processed.Add(1)
-			if err != nil {
-				w.outbox <- Message{Err: err}
-				continue
-			}
-			w.outbox <- Message{Data: safeClone(out)}
-		}
-	}
-}
 
 // runHandler converts a panicking handler into an error, the way a thrown
 // exception inside a Web Worker surfaces as an onerror event instead of
@@ -118,30 +58,3 @@ func runHandler(h Handler, in value.Value) (out value.Value, err error) {
 func safeClone(v value.Value) value.Value {
 	return value.CloneValue(v)
 }
-
-// PostMessage sends data to the worker. The value is cloned on the worker
-// side; the caller may keep mutating its copy.
-func (w *Worker) PostMessage(v value.Value) { w.inbox <- v }
-
-// Receive blocks for the next reply from the worker. ok is false once the
-// worker has terminated and drained.
-func (w *Worker) Receive() (Message, bool) {
-	m, ok := <-w.outbox
-	return m, ok
-}
-
-// Terminate stops the worker. Pending queued messages may be dropped,
-// matching Worker.terminate() semantics.
-func (w *Worker) Terminate() {
-	w.once.Do(func() { close(w.done) })
-}
-
-// ID reports the worker's index within its pool.
-func (w *Worker) ID() int { return w.id }
-
-// Processed reports how many messages the worker has handled so far. Safe
-// to call while the worker is running.
-func (w *Worker) Processed() int64 { return w.processed.Load() }
-
-// ErrTerminated is returned by pool operations after Terminate.
-var ErrTerminated = errors.New("worker pool terminated")

@@ -3,6 +3,7 @@ package workers
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -18,73 +19,46 @@ func double(v value.Value) (value.Value, error) {
 	return n + n, nil
 }
 
-func TestWorkerRoundTrip(t *testing.T) {
-	w := Spawn(0, double)
-	defer w.Terminate()
-	w.PostMessage(value.Number(21))
-	m, ok := w.Receive()
-	if !ok || m.Err != nil {
-		t.Fatalf("receive: %v %v", ok, m.Err)
-	}
-	if m.Data.(value.Number) != 42 {
-		t.Errorf("got %v", m.Data)
-	}
-	if w.ID() != 0 {
-		t.Error("id")
-	}
-}
-
+// TestWorkerIsolation pins the worker boundary: each element is
+// structured-cloned into the handler and each result cloned back out, so
+// neither side sees the other's later mutations.
 func TestWorkerIsolation(t *testing.T) {
-	// Mutating the sent list after PostMessage must not be visible to
-	// the worker (structured clone on send), and mutating the received
-	// list must not touch the worker's copy (clone on receive).
-	probe := make(chan *value.List, 1)
-	w := Spawn(0, func(v value.Value) (value.Value, error) {
-		l := v.(*value.List)
-		probe <- l
-		return l, nil
-	})
-	defer w.Terminate()
+	var inside *value.List
 	sent := value.NewList(value.Number(1))
-	w.PostMessage(sent)
-	inside := <-probe
-	m, _ := w.Receive()
+	got, err := New(value.NewList(sent), Options{MaxWorkers: 2}).Map(func(v value.Value) (value.Value, error) {
+		inside = v.(*value.List)
+		return inside, nil
+	}).Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
 	sent.Add(value.Number(2))
 	if inside.Len() != 1 {
 		t.Error("worker saw caller's mutation: no clone on send")
 	}
-	m.Data.(*value.List).Add(value.Number(3))
+	got.MustItem(1).(*value.List).Add(value.Number(3))
 	if inside.Len() != 1 {
 		t.Error("caller's mutation of reply reached worker: no clone on receive")
 	}
 }
 
+// TestWorkerHandlesNilAndPanic: a handler may return nil, which comes back
+// as Nothing, and a handler that panics fails its job with an error, the
+// way a worker's thrown exception surfaces through onerror.
 func TestWorkerHandlesNilAndPanic(t *testing.T) {
-	w := Spawn(0, func(v value.Value) (value.Value, error) {
+	h := func(v value.Value) (value.Value, error) {
 		if value.IsNothing(v) {
-			return nil, nil // handler may return nil; becomes Nothing
+			return nil, nil
 		}
 		panic("boom")
-	})
-	defer w.Terminate()
-	w.PostMessage(nil)
-	m, _ := w.Receive()
-	if m.Err != nil || !value.IsNothing(m.Data) {
-		t.Errorf("nil round trip: %v %v", m.Data, m.Err)
 	}
-	w.PostMessage(value.Number(1))
-	m, _ = w.Receive()
-	if m.Err == nil {
-		t.Error("panic should surface as error, like worker onerror")
+	got, err := New(value.NewList(value.TheNothing), Options{MaxWorkers: 2}).Map(h).Wait()
+	if err != nil || got.Len() != 1 || !value.IsNothing(got.MustItem(1)) {
+		t.Errorf("nil round trip: %v %v", got, err)
 	}
-}
-
-func TestWorkerTerminate(t *testing.T) {
-	w := Spawn(0, double)
-	w.Terminate()
-	w.Terminate() // idempotent
-	if _, ok := w.Receive(); ok {
-		t.Error("terminated worker should close its outbox")
+	_, err = New(value.NewList(value.TheNothing, value.Number(1)), Options{MaxWorkers: 2}).Map(h).Wait()
+	if err == nil || !strings.Contains(err.Error(), "boom") {
+		t.Errorf("panic surfaced as %v, want an error naming it, like worker onerror", err)
 	}
 }
 
