@@ -19,6 +19,7 @@ race:
 # the packages with real concurrency (the worker pool with its chunked
 # dispatch, the MapReduce engine and its simulated cluster, the
 # interpreter, the bytecode machine with its shared lowered programs, the
+# block AST's canonical encoder that keys them and the ring tier, the
 # ring compiler, the parallel blocks, the observability registry with its
 # 64-goroutine hammer, the program cache with its singleflight front, and
 # the execution service and the shard router with its concurrent failover
@@ -38,7 +39,7 @@ check:
 		./internal/core/... ./internal/vm/... ./internal/progcache/... \
 		./internal/runtime/... ./internal/server/... ./internal/obs/... \
 		./internal/shard/... ./internal/evo/... ./internal/value/... \
-		./internal/ingest/...
+		./internal/ingest/... ./internal/blocks/...
 	$(GO) test -race -count=10 -run 'E2EFailover|KillDuringTraffic|IdleClose|LongReplyRelayed|ClientGoneMidForward|ConnectionCloseNotReused|ClientBytesNeverReachTheWire' ./internal/shard
 	$(GO) test -run '^$$' -fuzz FuzzCompileRing -fuzztime 5s ./internal/compile/
 	$(GO) test -run '^$$' -fuzz FuzzLowerProject -fuzztime 5s ./internal/vm/

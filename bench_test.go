@@ -36,7 +36,9 @@ import (
 	"repro/internal/server"
 	"repro/internal/shard"
 	"repro/internal/value"
+	"repro/internal/vm"
 	"repro/internal/workers"
+	"repro/internal/xmlio"
 )
 
 // BenchmarkE1SeqMap times Figure 4's sequential map block.
@@ -408,6 +410,9 @@ func e17Body(b *testing.B) []byte {
 //     difference is what the indented reply format costs.
 //   - progcache.get is a Tier A hit on the E17 body: its key (a hash of
 //     the raw project token) plus the lookup.
+//   - vm.lower/<body>/hit resolves the body's green-flag scripts through
+//     the warm lowered-program memo (vm.Lookup); <body>/miss lowers them
+//     afresh (vm.LowerScript), as a cold memo does.
 func BenchmarkLayer(b *testing.B) {
 	xml, err := os.ReadFile("projects/concession-parallel.xml")
 	if err != nil {
@@ -466,6 +471,45 @@ func BenchmarkLayer(b *testing.B) {
 			}
 		}
 	})
+
+	countingProject, err := parse.Project(counting)
+	if err != nil {
+		b.Fatal(err)
+	}
+	xmlProject, err := xmlio.DecodeProject(bytes.NewReader(xml))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, lp := range []struct {
+		name    string
+		project *blocks.Project
+	}{{"counting", countingProject}, {"concession-xml", xmlProject}} {
+		var scripts []*blocks.Script
+		for _, sp := range lp.project.Sprites {
+			for _, hs := range sp.Scripts {
+				if hs.Hat == blocks.HatGreenFlag {
+					scripts = append(scripts, hs.Script)
+				}
+			}
+		}
+		for _, lw := range []struct {
+			name  string
+			lower func(*blocks.Script) *vm.Program
+		}{{"hit", vm.Lookup}, {"miss", vm.LowerScript}} {
+			b.Run("vm.lower/"+lp.name+"/"+lw.name, func(b *testing.B) {
+				for _, s := range scripts {
+					lw.lower(s)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					for _, s := range scripts {
+						lw.lower(s)
+					}
+				}
+			})
+		}
+	}
 
 	// shard.forward: the counting body, cached on its backend, through
 	// shard.New's handler to one loopback snapserved, over the router's

@@ -1,6 +1,7 @@
 package blocks
 
 import (
+	"sync"
 	"testing"
 
 	"repro/internal/value"
@@ -135,3 +136,76 @@ func TestParallelBlockShapes(t *testing.T) {
 		t.Error("mapReduce shape")
 	}
 }
+
+// TestAppendKey pins the canonical encoding's rule: equal trees encode
+// alike; values that print alike but differ in type do not; nil and
+// Nothing stay apart; opaque and ring-valued literals are refused; no
+// encoding begins with a zero byte.
+func TestAppendKey(t *testing.T) {
+	key := func(n Node) string {
+		t.Helper()
+		enc, ok := AppendKey(nil, n)
+		if !ok {
+			t.Fatalf("%s: refused", n.Describe())
+		}
+		if len(enc) == 0 || enc[0] == 0 {
+			t.Fatalf("%s: encoding %x opens with a zero byte", n.Describe(), enc)
+		}
+		return string(enc)
+	}
+	fig4 := func() Node { return Map(RingOf(Product(Empty(), Num(10))), ListOf(Num(3), Num(7), Num(8))) }
+	if key(fig4()) != key(fig4()) {
+		t.Fatal("independently built equal trees encode differently")
+	}
+	distinct := []Node{
+		nil, Num(5), Txt("5"), Literal{Val: nil}, Literal{Val: value.Nothing{}},
+		Literal{Val: value.Bool(true)}, Literal{Val: value.NewList(value.Number(5))},
+		Empty(), Var("x"), Txt("x"), RingNode{Body: Var("x")}, RingNode{Body: Var("x"), Params: []string{"x"}},
+		ScriptNode{Script: NewScript()}, NewScript(), (*Script)(nil), NewBlock("x"), fig4(),
+	}
+	seen := map[string]int{}
+	for i, n := range distinct {
+		k := key(n)
+		if j, dup := seen[k]; dup {
+			t.Errorf("case %d encodes like case %d", i, j)
+		}
+		seen[k] = i
+	}
+	for name, v := range map[string]value.Value{
+		"opaque": opaqueValue{}, "ring": &Ring{Body: Num(1)}, "list of ring": value.NewList(&Ring{Body: Num(1)}),
+	} {
+		if _, ok := AppendKey(nil, Say(Literal{Val: v})); ok {
+			t.Errorf("%s literal: certified", name)
+		}
+	}
+}
+
+// TestAppendKeyConcurrent encodes one shared tree from several goroutines
+// at once, as sessions and ring dispatch on pool workers do; a columnar
+// list literal makes each encoding read its memoized boxed view.
+func TestAppendKeyConcurrent(t *testing.T) {
+	tree := func() Node { return Say(Literal{Val: value.FromFloats([]float64{1, 2, 3})}) }
+	want, ok := AppendKey(nil, tree())
+	if !ok {
+		t.Fatal("columnar list literal refused")
+	}
+	shared := tree()
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if got, _ := AppendKey(nil, shared); string(got) != string(want) {
+				t.Errorf("encoding %x, want %x", got, want)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// opaqueValue is a host value the canonical encoding does not know.
+type opaqueValue struct{}
+
+func (opaqueValue) Kind() value.Kind   { return value.KindText }
+func (opaqueValue) String() string     { return "opaque" }
+func (opaqueValue) Clone() value.Value { return opaqueValue{} }

@@ -217,7 +217,7 @@ func signals() map[string]int64 {
 	for _, r := range obs.CompileReasons {
 		m["fallback-"+r] = obs.CompileFallbacks.With(r).Value()
 	}
-	for _, tier := range []string{"project", "ring", "script"} {
+	for _, tier := range []string{"project", "ring"} {
 		m["evict-"+tier] = obs.ProgcacheEvictions.With(tier).Value()
 	}
 	return m

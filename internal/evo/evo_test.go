@@ -7,7 +7,6 @@ import (
 	"repro/internal/evo/gen"
 	"repro/internal/evo/oracle"
 	"repro/internal/parse"
-	"repro/internal/progcache"
 	"repro/internal/vm"
 )
 
@@ -57,19 +56,8 @@ func TestEngineCatchesInjectedVMBug(t *testing.T) {
 	if !ok {
 		t.Fatal("SwapBinaryOps refused the difference/sum pair")
 	}
-	// Cached programs were lowered before the mutator existed; both the
-	// vm memo and the shared script cache must restart from scratch, and
-	// again after the mutator is removed.
-	reset := func() {
-		vm.ResetMemo()
-		progcache.DefaultScripts.Reset()
-	}
 	vm.SetProgramMutator(mut)
-	reset()
-	defer func() {
-		vm.SetProgramMutator(nil)
-		reset()
-	}()
+	defer vm.SetProgramMutator(nil)
 
 	stats, divs := Run(Config{
 		Seed:        2,

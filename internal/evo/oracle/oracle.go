@@ -83,11 +83,9 @@ func Capture(m *interp.Machine, v value.Value, err error) Outcome {
 }
 
 // RunEngine executes script on a fresh machine with the bytecode engine
-// switched on or off, from a cold program memo, returning the machine for
-// stage inspection. The engine is restored to on afterwards (the
-// production default).
+// switched on or off, returning the machine for stage inspection. The
+// engine is restored to on afterwards (the production default).
 func RunEngine(script *blocks.Script, bytecode bool) (value.Value, error, *interp.Machine) {
-	vm.ResetMemo()
 	vm.SetEnabled(bytecode)
 	defer vm.SetEnabled(true)
 	m := interp.NewMachine(blocks.NewProject("oracle"), nil)

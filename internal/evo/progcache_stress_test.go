@@ -13,11 +13,10 @@ import (
 
 // The generator is also a cache-churn machine: every genome decodes to a
 // distinct program body, so a stream of genomes is exactly the workload
-// the progcache tiers were built for — many one-shot keys competing with
-// a few hot ones under a byte budget. These tests drive both tiers with
-// generator output and pin the eviction and singleflight behavior via
-// Stats (always-on) and the engine_progcache_* obs series (when
-// instrumentation is on).
+// Tier A was built for — many one-shot keys competing with a few hot
+// ones under a byte budget. These tests drive it with generator output
+// and pin the eviction and singleflight behavior via Stats (always-on)
+// and the engine_progcache_* obs series (when instrumentation is on).
 
 // churnSources decodes n distinct generated projects to source text.
 func churnSources(t *testing.T, seed int64, n int) []string {
@@ -103,57 +102,6 @@ func TestProgcacheProjectChurn(t *testing.T) {
 	}
 	if d := obs.ProgcacheEvictions.With("project").Value() - evict0; d <= 0 {
 		t.Errorf("engine_progcache_evictions_total{tier=project} did not move")
-	}
-}
-
-// TestProgcacheScriptChurn drives the Tier B (script lowering) cache the
-// same way: distinct generated scripts under a small budget evict, hot
-// repeats hit.
-func TestProgcacheScriptChurn(t *testing.T) {
-	prevObs := obs.Enabled()
-	obs.SetEnabled(true)
-	defer obs.SetEnabled(prevObs)
-	evict0 := obs.ProgcacheEvictions.With("script").Value()
-
-	sc := progcache.NewScripts(8 << 10)
-	rnd := rand.New(rand.NewSource(23))
-	distinct := 0
-	for i := 0; i < 64; i++ {
-		script := gen.Script(gen.Random(rnd, 24+rnd.Intn(40)))
-		before := sc.Stats()
-		p1 := sc.Lower(script)
-		mid := sc.Stats()
-		p2 := sc.Lower(script)
-		after := sc.Stats()
-		if p1 == nil || p2 == nil {
-			t.Fatalf("lowering returned nil program")
-		}
-		if mid.Misses > before.Misses {
-			distinct++
-			// A fresh miss means the program is now resident and most
-			// recently used: the immediate repeat must hit and share the
-			// exact cached program.
-			if after.Hits != mid.Hits+1 {
-				t.Fatalf("repeat lowering of a fresh script did not hit (hits %d -> %d)", mid.Hits, after.Hits)
-			}
-			if p1 != p2 {
-				t.Fatalf("repeat lowering returned a different cached program")
-			}
-		}
-	}
-	st := sc.Stats()
-	if distinct < 32 {
-		t.Fatalf("generator churn produced only %d distinct scripts", distinct)
-	}
-	if st.Evictions == 0 {
-		t.Errorf("Evictions = 0, want > 0 under a %d-byte budget with %d distinct scripts (resident %d)",
-			8<<10, distinct, st.Bytes)
-	}
-	if st.Bytes > 8<<10 {
-		t.Errorf("Bytes = %d, above the %d budget", st.Bytes, 8<<10)
-	}
-	if d := obs.ProgcacheEvictions.With("script").Value() - evict0; d <= 0 {
-		t.Errorf("engine_progcache_evictions_total{tier=script} did not move")
 	}
 }
 

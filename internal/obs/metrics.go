@@ -78,26 +78,26 @@ var (
 )
 
 // The content-addressed program cache (internal/progcache). The "tier"
-// label is "project" (parsed+linted request bodies), "ring" (memoized
-// compile.Ring outcomes), or "script" (whole script bodies lowered to
-// internal/vm bytecode). Counters are bumped while Enabled(); the bytes
-// gauge tracks residency unconditionally (one atomic store per insert).
+// label is "project" (parsed+linted request bodies) or "ring" (memoized
+// compile.Ring outcomes and mapReduce kernel sets). Counters are bumped
+// while Enabled(); the bytes gauge tracks residency unconditionally (one
+// atomic store per insert).
 var (
 	ProgcacheHits = Default.NewCounterVec("engine_progcache_hits_total",
 		"Program-cache gets served by a resident entry, by tier.",
-		"tier", "project", "ring", "script")
+		"tier", "project", "ring")
 	ProgcacheMisses = Default.NewCounterVec("engine_progcache_misses_total",
-		"Program-cache gets that paid the load (parse+lint or lowering), by tier.",
-		"tier", "project", "ring", "script")
+		"Program-cache gets that paid the load (parse+lint or ring compile), by tier.",
+		"tier", "project", "ring")
 	ProgcacheSharedLoads = Default.NewCounterVec("engine_progcache_shared_loads_total",
 		"Program-cache gets that waited on and shared another caller's in-flight load (singleflight), by tier.",
-		"tier", "project", "ring", "script")
+		"tier", "project", "ring")
 	ProgcacheEvictions = Default.NewCounterVec("engine_progcache_evictions_total",
 		"Program-cache entries evicted by the byte budget, by tier.",
-		"tier", "project", "ring", "script")
+		"tier", "project", "ring")
 	ProgcacheBytes = Default.NewGaugeVec("engine_progcache_bytes",
 		"Resident program-cache bytes, by tier.",
-		"tier", "project", "ring", "script")
+		"tier", "project", "ring")
 )
 
 // The flat bytecode machine (internal/vm). Ops count executed bytecode

@@ -17,8 +17,10 @@
 //	outcome — including cached *rejections* (parse errors, lint-fatal
 //	findings), so malformed resubmissions are as cheap as good ones.
 //
-//	Tier B (ring): keyed on a structural hash of a shipped blocks.Ring,
-//	stores the compile.Ring outcome — the compiled Fn on success, the
+//	Tier B (ring): keyed on the SHA-256 of a shipped blocks.Ring's
+//	canonical encoding (blocks.AppendKey, the one structural encoder,
+//	which the VM's lowered-program memo hashes too), stores the
+//	compile.Ring outcome — the compiled Fn on success, the
 //	refusal reason on fallback. A session dispatching the same ring job
 //	after job (or many sessions running the same program) lowers it
 //	once; refused rings stop paying the full lowering walk per job, and

@@ -194,6 +194,13 @@ func TestHashRingStructural(t *testing.T) {
 			t.Fatalf("case %d: collided with the base ring", i)
 		}
 	}
+
+	// nil and Nothing print alike but are different values.
+	kNil, _, okNil := hashRing(ring(nil, blocks.Literal{Val: nil}))
+	kNothing, _, okNothing := hashRing(ring(nil, blocks.Literal{Val: value.Nothing{}}))
+	if !okNil || !okNothing || kNil == kNothing {
+		t.Fatal("nil and Nothing literals must hash apart")
+	}
 }
 
 func TestHashRingRefusesUnstableAddresses(t *testing.T) {
@@ -207,6 +214,10 @@ func TestHashRingRefusesUnstableAddresses(t *testing.T) {
 	opaque := ring(nil, blocks.Literal{Val: opaqueValue{}})
 	if _, _, ok := hashRing(opaque); ok {
 		t.Fatal("ring with an opaque literal must not hash")
+	}
+	ringValued := ring(nil, blocks.Literal{Val: ring(nil, blocks.Literal{Val: value.Number(1)})})
+	if _, _, ok := hashRing(ringValued); ok {
+		t.Fatal("ring with a ring-valued literal must not hash")
 	}
 }
 

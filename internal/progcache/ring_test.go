@@ -144,3 +144,35 @@ func TestPairBuildsOncePerOrderedPair(t *testing.T) {
 		t.Fatal("a nil tier must build directly")
 	}
 }
+
+// TestPairKeysDisjointFromRingKeys proves a kernel-set key can never be a
+// single ring's key: every pair encoding opens with the zero byte, which
+// no single ring's encoding begins with, so the two encodings (and so
+// their SHA-256 keys) differ for any rings.
+func TestPairKeysDisjointFromRingKeys(t *testing.T) {
+	rings := []*blocks.Ring{
+		ring(nil, nil),
+		ring(nil, blocks.EmptySlot{}),
+		ring([]string{"x"}, blocks.VarGet{Name: "x"}),
+		ring(nil, blocks.NewScript()),
+		ring(nil, blocks.NewBlock("reportSum", blocks.EmptySlot{}, blocks.Literal{Val: value.Number(0)})),
+	}
+	for i, a := range rings {
+		enc, ok := appendRing(nil, a)
+		if !ok || len(enc) == 0 || enc[0] == pairDomain {
+			t.Fatalf("ring %d: encoding %x opens the pair domain", i, enc)
+		}
+		for j, b := range rings {
+			pair, ok := appendPair(nil, a, b)
+			if !ok || pair[0] != pairDomain {
+				t.Fatalf("pair (%d, %d): encoding %x does not open the pair domain", i, j, pair)
+			}
+			pk, _, _ := hashRingPair(a, b)
+			for k, c := range rings {
+				if rk, _, _ := hashRing(c); rk == pk {
+					t.Fatalf("pair (%d, %d) shares a key with ring %d", i, j, k)
+				}
+			}
+		}
+	}
+}

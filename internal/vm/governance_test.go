@@ -32,7 +32,6 @@ func foreverProject() *blocks.Project {
 
 func startForever(t *testing.T) *interp.Machine {
 	t.Helper()
-	vm.MemoReset()
 	vm.SetEnabled(true)
 	m := interp.NewMachine(foreverProject(), nil)
 	if procs := m.GreenFlag(); len(procs) != 1 {
@@ -93,7 +92,6 @@ func TestVMKillMidLoop(t *testing.T) {
 // opMRPoll, then kills the machine. The worker goroutines must be
 // abandoned cleanly: no hang, no touch of the dead process.
 func TestVMKillDuringAsyncMapReduce(t *testing.T) {
-	vm.MemoReset()
 	vm.SetEnabled(true)
 	pr := blocks.NewProject("vm-governance")
 	sp := blocks.NewSprite("S")

@@ -107,8 +107,8 @@ type ringMeta struct {
 }
 
 // Program is a lowered script: immutable once built and shared freely
-// across machines (the progcache script tier hands one instance to every
-// session running a structurally identical script).
+// across machines (the memo hands one instance to every session running a
+// structurally identical script).
 type Program struct {
 	Ops           []Op
 	Consts        []value.Value
@@ -124,11 +124,6 @@ type Program struct {
 	// native statements is not worth installing.
 	NativeStmts int
 	TreeStmts   int
-}
-
-// Cost prices the program for the cache byte budget.
-func (p *Program) Cost() int64 {
-	return int64(len(p.Ops))*12 + int64(len(p.Consts)+len(p.Names)+len(p.Nodes))*32 + 256
 }
 
 // MRCall dispatches one lowered mapReduce site over an evaluated input.

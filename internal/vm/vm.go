@@ -2,14 +2,12 @@ package vm
 
 import (
 	"hash/maphash"
-	"math"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/blocks"
 	"repro/internal/interp"
 	"repro/internal/obs"
-	"repro/internal/value"
 )
 
 // Metric handles, aliased so the hot paths read short.
@@ -32,26 +30,23 @@ func SetEnabled(on bool) { enabled.Store(on) }
 // Enabled reports whether new processes execute on the bytecode machine.
 func Enabled() bool { return enabled.Load() }
 
-// lowerCache, when installed, resolves a script to its lowered program
-// through a shared cache (the progcache "script" tier, keyed by the
-// structural hash). nil falls back to lowering in place.
-var lowerCache func(*blocks.Script) *Program
-
-// SetProgramCache installs the shared lowered-program cache hook.
-func SetProgramCache(f func(*blocks.Script) *Program) { lowerCache = f }
-
 // programMutator, when installed, rewrites every freshly lowered program
 // before it is returned — after constant folding, so the corruption
 // cannot be folded away. It exists for the evolutionary stress engine's
 // self-test: inject a deliberate op-level bug and prove the cross-tier
-// oracle catches and shrinks it. Both caches (the memo here and the
-// progcache script tier) hold pre-mutation programs, so installing or
-// clearing a mutator is only sound after resetting both.
+// oracle catches and shrinks it.
 var programMutator func(*Program)
 
 // SetProgramMutator installs (nil clears) the post-lowering program
-// mutator. Test/stress hook only — never set in production paths.
-func SetProgramMutator(f func(*Program)) { programMutator = f }
+// mutator and flushes the memo, whose programs were lowered under the
+// previous one. Test/stress hook only — never set in production paths,
+// and call it while no script is being lowered.
+func SetProgramMutator(f func(*Program)) {
+	memoMu.Lock()
+	defer memoMu.Unlock()
+	programMutator = f
+	memo = make(map[memoKey]*Program)
+}
 
 func init() {
 	enabled.Store(true)
@@ -66,20 +61,17 @@ func hookSpawn(m *interp.Machine, p *interp.Process, script *blocks.Script) {
 	if !enabled.Load() || m == nil || m.TraceBlock != nil || script == nil {
 		return
 	}
-	prog := lookup(script)
+	prog := Lookup(script)
 	if prog == nil || prog.NativeStmts == 0 {
 		return
 	}
 	p.InstallExec(newRun(prog, p))
 }
 
-// lookup resolves script to a Program via the two cache levels: a fast
-// in-package memo (one buffer encode, two seeded 64-bit hashes, for the
-// rebuilt-AST-per-request pattern) in front of the shared progcache tier
-// (cryptographic structural hash, byte-budgeted, singleflight). Scripts
-// whose literals defeat structural hashing (opaque payloads,
-// environment-carrying rings) skip both and lower in place.
-func lookup(s *blocks.Script) *Program {
+// Lookup resolves script to its lowered program through the memo.
+// Scripts whose literals defeat structural hashing (opaque payloads,
+// ring values) skip it and lower in place.
+func Lookup(s *blocks.Script) *Program {
 	k, ok := memoHash(s)
 	if !ok {
 		return LowerScript(s)
@@ -87,27 +79,22 @@ func lookup(s *blocks.Script) *Program {
 	if prog := memoGet(k); prog != nil {
 		return prog
 	}
-	var prog *Program
-	if lowerCache != nil {
-		prog = lowerCache(s)
-	} else {
-		prog = LowerScript(s)
-	}
+	prog := LowerScript(s)
 	if prog != nil {
 		memoPut(k, prog)
 	}
 	return prog
 }
 
-// The memo: bounded, flushed whole when full (churn here means the
-// workload is not the repeated-script pattern the memo serves). Entries
-// are keyed by two independently seeded 64-bit structural hashes over a
-// canonical byte encoding of the script; with both seeds drawn at
-// process start, a cross-script collision needs ~2^128 luck against
-// unknown seeds, so no exemplar comparison is kept. Mutating a script
-// after it ran is still safe: the cached program was derived from the
-// content the key encodes, so any later script matching the key has that
-// same content and the program is correct for it.
+// The memo, the one lowered-program cache: bounded, flushed whole when
+// full (churn here means the workload is not the repeated-script pattern
+// the memo serves). Entries are keyed by two independently seeded 64-bit
+// hashes of the script's canonical encoding (blocks.AppendKey); with both
+// seeds drawn at process start, a cross-script collision needs ~2^128
+// luck against unknown seeds, so no exemplar comparison is kept. Mutating
+// a script after it ran is still safe: the cached program was derived
+// from the content the key encodes, so any later script matching the key
+// has that same content and the program is correct for it.
 const memoMax = 512
 
 type memoKey struct{ h1, h2 uint64 }
@@ -134,170 +121,13 @@ func memoPut(k memoKey, prog *Program) {
 	memo[k] = prog
 }
 
-// memoReset clears the memo (tests).
-func memoReset() {
-	memoMu.Lock()
-	defer memoMu.Unlock()
-	memo = make(map[memoKey]*Program)
-}
-
-// ResetMemo flushes the in-process lowered-program memo so the next
-// lookup lowers from scratch. Differential harnesses call it between
-// engine flips so a comparison never starts from a stale entry; anyone
-// installing a program mutator must also reset the progcache script tier,
-// which holds programs the memo does not.
-func ResetMemo() { memoReset() }
-
-// Structural hashing. The encoder flattens the AST into one byte buffer
-// (stack-backed for realistic script sizes) and hashes it twice; tag
-// bytes separate node kinds so that shapes cannot collide by
-// concatenation, and every variable-length run is length-prefixed.
-// ok=false bails on values a content key cannot certify (Opaque
-// payloads, rings carrying environments).
-const (
-	tagEnd byte = iota + 1
-	tagBlock
-	tagScript
-	tagLiteral
-	tagEmpty
-	tagVarGet
-	tagRingNode
-	tagScriptNode
-	tagNilNode
-	tagNothing
-	tagBool
-	tagNumber
-	tagText
-	tagList
-	tagNilVal
-)
-
-type memoHasher struct {
-	buf []byte
-	ok  bool
-}
-
-// memoBufPool recycles encode buffers: the recursive encoder defeats the
-// escape analysis that would keep a stack array on the stack, and this
-// hash runs once per spawned script process.
-var memoBufPool = sync.Pool{New: func() any {
-	b := make([]byte, 0, 512)
-	return &b
-}}
-
+// memoHash keys s by its canonical encoding, built in a stack buffer
+// that holds realistic scripts.
 func memoHash(s *blocks.Script) (memoKey, bool) {
-	bp := memoBufPool.Get().(*[]byte)
-	w := memoHasher{buf: (*bp)[:0], ok: true}
-	w.node(s)
-	var k memoKey
-	if w.ok {
-		k = memoKey{
-			h1: maphash.Bytes(memoSeed1, w.buf),
-			h2: maphash.Bytes(memoSeed2, w.buf),
-		}
+	var buf [1024]byte
+	enc, ok := blocks.AppendKey(buf[:0], s)
+	if !ok {
+		return memoKey{}, false
 	}
-	*bp = w.buf
-	memoBufPool.Put(bp)
-	return k, w.ok
-}
-
-func (w *memoHasher) u64(v uint64) {
-	w.buf = append(w.buf,
-		byte(v), byte(v>>8), byte(v>>16), byte(v>>24),
-		byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56))
-}
-
-// length: one byte for the common small case, escaped to 8 bytes above.
-func (w *memoHasher) length(n int) {
-	if n < 0xff {
-		w.buf = append(w.buf, byte(n))
-		return
-	}
-	w.buf = append(w.buf, 0xff)
-	w.u64(uint64(n))
-}
-
-func (w *memoHasher) str(s string) {
-	w.length(len(s))
-	w.buf = append(w.buf, s...)
-}
-
-func (w *memoHasher) node(n blocks.Node) {
-	if !w.ok {
-		return
-	}
-	switch e := n.(type) {
-	case nil:
-		w.buf = append(w.buf, tagNilNode)
-	case *blocks.Block:
-		w.buf = append(w.buf, tagBlock)
-		w.str(e.Op)
-		w.length(len(e.Inputs))
-		for _, in := range e.Inputs {
-			w.node(in)
-		}
-	case *blocks.Script:
-		w.buf = append(w.buf, tagScript)
-		if e == nil {
-			w.buf = append(w.buf, tagNilNode)
-			return
-		}
-		w.length(len(e.Blocks))
-		for _, b := range e.Blocks {
-			w.node(b)
-		}
-	case blocks.Literal:
-		w.buf = append(w.buf, tagLiteral)
-		w.val(e.Val)
-	case blocks.EmptySlot:
-		w.buf = append(w.buf, tagEmpty)
-	case blocks.VarGet:
-		w.buf = append(w.buf, tagVarGet)
-		w.str(e.Name)
-	case blocks.RingNode:
-		w.buf = append(w.buf, tagRingNode)
-		w.length(len(e.Params))
-		for _, p := range e.Params {
-			w.str(p)
-		}
-		w.node(e.Body)
-	case blocks.ScriptNode:
-		w.buf = append(w.buf, tagScriptNode)
-		w.node(e.Script)
-	default:
-		w.ok = false
-	}
-}
-
-func (w *memoHasher) val(v value.Value) {
-	if !w.ok {
-		return
-	}
-	switch e := v.(type) {
-	case nil:
-		w.buf = append(w.buf, tagNilVal)
-	case value.Nothing:
-		w.buf = append(w.buf, tagNothing)
-	case value.Bool:
-		w.buf = append(w.buf, tagBool)
-		if e {
-			w.buf = append(w.buf, 1)
-		} else {
-			w.buf = append(w.buf, 0)
-		}
-	case value.Number:
-		w.buf = append(w.buf, tagNumber)
-		w.u64(math.Float64bits(float64(e)))
-	case value.Text:
-		w.buf = append(w.buf, tagText)
-		w.str(string(e))
-	case *value.List:
-		w.buf = append(w.buf, tagList)
-		w.length(e.Len())
-		for _, it := range e.Items() {
-			w.val(it)
-		}
-	default:
-		w.ok = false
-	}
+	return memoKey{h1: maphash.Bytes(memoSeed1, enc), h2: maphash.Bytes(memoSeed2, enc)}, true
 }
