@@ -27,10 +27,11 @@ race:
 # inter-test ordering dependencies can't hide, repeat the router's
 # failover and forwarder tests so the race between a backend closing a
 # pooled connection and the router writing to it keeps getting
-# exercised, then give the four differential fuzzers — compiled-vs-
+# exercised, then give the five differential fuzzers — compiled-vs-
 # interpreted rings, lowered-vs-tree-walked scripts, the server's request
-# envelope scanner against encoding/json, and the router's forwarder
-# against net/http's Transport — a short burst, and finish with the
+# envelope scanner against encoding/json, the router's forwarder against
+# net/http's Transport, and the .sblk reader against the rune-slice
+# reader it replaced — a short burst, and finish with the
 # deterministic-seed cross-tier stress soak.
 check:
 	$(GO) vet ./...
@@ -45,6 +46,7 @@ check:
 	$(GO) test -run '^$$' -fuzz FuzzLowerProject -fuzztime 5s ./internal/vm/
 	$(GO) test -run '^$$' -fuzz FuzzRequestEnvelope -fuzztime 5s ./internal/server/
 	$(GO) test -run '^$$' -fuzz FuzzForwardReply -fuzztime 5s ./internal/shard/
+	$(GO) test -run '^$$' -fuzz FuzzReaderMatchesReference -fuzztime 5s ./internal/parse/
 	$(MAKE) stress
 
 # stress runs the evolutionary cross-tier differential engine

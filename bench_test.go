@@ -381,6 +381,16 @@ func BenchmarkE17RepeatedRun(b *testing.B) {
 
 // e17Body is E17's request body: 41 sprites, 16.5 KB of JSON.
 func e17Body(b *testing.B) []byte {
+	body, err := json.Marshal(map[string]string{"project": e17Source()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return body
+}
+
+// e17Source is E17's project: a one-block green-flag script plus 40
+// sprites of twelve message-hat blocks each, 15.3 KB of .sblk text.
+func e17Source() string {
 	var src strings.Builder
 	src.WriteString("(project \"repeat\"\n")
 	src.WriteString("  (sprite \"Main\" (when green-flag (do (say \"hi\"))))\n")
@@ -392,11 +402,7 @@ func e17Body(b *testing.B) []byte {
 		src.WriteString(")))\n")
 	}
 	src.WriteString(")")
-	body, err := json.Marshal(map[string]string{"project": src.String()})
-	if err != nil {
-		b.Fatal(err)
-	}
-	return body
+	return src.String()
 }
 
 // BenchmarkLayer times single layers of a served request, named after
@@ -408,6 +414,8 @@ func e17Body(b *testing.B) []byte {
 //     raw) and encodes the server's own reply with MarshalIndent, as
 //     writeJSON does. <body>/compact encodes with Marshal instead: the
 //     difference is what the indented reply format costs.
+//   - parse.project/<body> reads a .sblk project into its block AST
+//     (parse.Project), the work of a Tier A miss before linting.
 //   - progcache.get is a Tier A hit on the E17 body: its key (a hash of
 //     the raw project token) plus the lookup.
 //   - vm.lower/<body>/hit resolves the body's green-flag scripts through
@@ -457,11 +465,29 @@ func BenchmarkLayer(b *testing.B) {
 		}
 	}
 
+	sblk, err := os.ReadFile("projects/concession.sblk")
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, ps := range []struct{ name, src string }{
+		{"e17-41-sprites", e17Source()},
+		{"concession-sblk", string(sblk)},
+	} {
+		b.Run("parse.project/"+ps.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := parse.Project(ps.src); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+
 	b.Run("progcache.get", func(b *testing.B) {
 		body := bodies[0].body
 		cache := progcache.NewProjects(progcache.DefaultProjectBudget)
 		env, _ := progcache.ScanEnvelope(body)
-		load := func() (*progcache.ProjectEntry, int) { return &progcache.ProjectEntry{}, len(body) }
+		load := func() *progcache.ProjectEntry { return &progcache.ProjectEntry{} }
 		cache.Lookup(env.Key(body), load)
 		b.ReportAllocs()
 		b.ResetTimer()

@@ -9,11 +9,10 @@ import (
 	"repro/internal/lint"
 )
 
-// FuzzExpr feeds arbitrary text to the parser: it must never panic, and
-// anything it accepts must lower to a well-formed node that the evaluator
-// either runs or rejects cleanly (no panics downstream either).
-func FuzzExpr(f *testing.F) {
-	for _, seed := range []string{
+// The seed corpora of FuzzExpr, FuzzProject and FuzzScript; the
+// differential FuzzReaderMatchesReference starts from all three.
+var (
+	exprSeeds = []string{
 		"(+ 1 2)",
 		"(map (ring (* _ 10)) (list 3 7 8))",
 		"(parallelmap (ring (* _ 10)) (numbers 1 9) 4)",
@@ -27,7 +26,35 @@ func FuzzExpr(f *testing.F) {
 		"(ring)",
 		"; just a comment",
 		"(if true (do (say \"hi\")))",
-	} {
+	}
+	projectSeeds = []string{
+		`(project "p" (sprite "S" (when green-flag (do (forward 1)))))`,
+		`(project "p" (global n 3) (sprite "S" (at 10 20) (local x 0)
+		   (when green-flag (do (change x 1)))))`,
+		`(project "p" (define (double n) (report (* $n 2)))
+		   (sprite "S" (when green-flag (do (say (double 21))))))`,
+		`(project "p" (sprite "A") (sprite "B" (when key-press "space" (do (forward 1)))))`,
+		`(project "p" (sprite "S" (when green-flag (do
+		   (report (parallelmap (lambda (x) (* $x 2)) (numbers 1 9) 4))))))`,
+		`(project`,
+		`(project "p" (sprite))`,
+		`(sprite "loose")`,
+		`(project "p" (global))`,
+		strings.Repeat("(", 500) + strings.Repeat(")", 500),
+		"; only a comment",
+	}
+	scriptSeeds = []string{
+		"(set x 1) (change x 2) (report $x)",
+		"(declare a b) (set a (list)) (add 1 $a)",
+		"(repeat 3 (do (forward 1)))",
+	}
+)
+
+// FuzzExpr feeds arbitrary text to the parser: it must never panic, and
+// anything it accepts must lower to a well-formed node that the evaluator
+// either runs or rejects cleanly (no panics downstream either).
+func FuzzExpr(f *testing.F) {
+	for _, seed := range exprSeeds {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
@@ -58,22 +85,7 @@ func FuzzExpr(f *testing.F) {
 // entry point of the network ingestion path (POST /v1/run). It must never
 // panic, and accepted projects must survive linting and a bounded run.
 func FuzzProject(f *testing.F) {
-	for _, seed := range []string{
-		`(project "p" (sprite "S" (when green-flag (do (forward 1)))))`,
-		`(project "p" (global n 3) (sprite "S" (at 10 20) (local x 0)
-		   (when green-flag (do (change x 1)))))`,
-		`(project "p" (define (double n) (report (* $n 2)))
-		   (sprite "S" (when green-flag (do (say (double 21))))))`,
-		`(project "p" (sprite "A") (sprite "B" (when key-press "space" (do (forward 1)))))`,
-		`(project "p" (sprite "S" (when green-flag (do
-		   (report (parallelmap (lambda (x) (* $x 2)) (numbers 1 9) 4))))))`,
-		`(project`,
-		`(project "p" (sprite))`,
-		`(sprite "loose")`,
-		`(project "p" (global))`,
-		strings.Repeat("(", 500) + strings.Repeat(")", 500),
-		"; only a comment",
-	} {
+	for _, seed := range projectSeeds {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
@@ -117,9 +129,9 @@ func TestDeepNestingIsAnErrorNotACrash(t *testing.T) {
 
 // FuzzScript does the same for command sequences.
 func FuzzScript(f *testing.F) {
-	f.Add("(set x 1) (change x 2) (report $x)")
-	f.Add("(declare a b) (set a (list)) (add 1 $a)")
-	f.Add("(repeat 3 (do (forward 1)))")
+	for _, seed := range scriptSeeds {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, src string) {
 		script, err := Script(src)
 		if err != nil {

@@ -18,9 +18,11 @@ package parse
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 
 	"repro/internal/blocks"
 	"repro/internal/value"
@@ -28,39 +30,79 @@ import (
 
 // --- s-expression reader ---
 
-type sexpr interface{ pos() int }
+// nodeKind says what one form of the read tree is.
+type nodeKind uint8
 
-type atom struct {
-	at   int
-	text string
-	str  bool // quoted string literal
+const (
+	listForm   nodeKind = iota
+	symbolForm          // a bare atom
+	stringForm          // a quoted string literal
+)
+
+// node is one form of the read tree. The reader stores the whole tree in
+// one flat array in preorder: a list's items follow it, and size counts
+// the list and all its descendants, so its next sibling sits at i+size.
+type node struct {
+	at, end int32 // byte offsets in the source: first byte, one past the last
+	size    int32 // nodes in this subtree, itself included (1 for an atom)
+	kind    nodeKind
+	// cooked marks an atom whose text differs from its source bytes: a
+	// string with an escape, or an atom holding invalid UTF-8, which reads
+	// as one U+FFFD per invalid byte. Other atoms' text is sliced out of
+	// the source (see text and keep).
+	cooked bool
 }
 
-func (a atom) pos() int { return a.at }
-
-type list struct {
-	at    int
-	items []sexpr
-}
-
-func (l list) pos() int { return l.at }
-
-// maxNesting bounds s-expression depth. The reader and the lowerer both
-// recurse over the tree, and this parser sits on the network ingestion
-// path: without a cap, a few megabytes of "(" exhaust the goroutine stack,
-// which is a fatal, unrecoverable crash rather than an error.
+// maxNesting bounds s-expression depth. The lowerer recurses over the
+// tree, and this parser sits on the network ingestion path: without a
+// cap, a few megabytes of "(" exhaust the goroutine stack, which is a
+// fatal, unrecoverable crash rather than an error.
 const maxNesting = 10_000
 
+// maxSource bounds the source length, so that byte offsets and node
+// counts fit the int32 fields that keep a node at 16 bytes.
+const maxSource = math.MaxInt32
+
 type reader struct {
-	src   []rune
-	i     int
-	depth int
+	src   string
+	nodes []node
+
+	// The slabs of the script being lowered (see slab): its blocks and
+	// their inputs are taken from them while they last.
+	blocks []blocks.Block
+	slots  []blocks.Node
 }
 
-func (r *reader) error(at int, format string, args ...any) error {
+// slab makes the slabs for lowering the forms from index from up to end,
+// the statements of one script: one allocation for its blocks and one
+// for their inputs, instead of two per block. Every list among the forms
+// makes at most one block, and every form but a statement or a list's
+// head fills at most one input slot. A slab stays alive while any block
+// in it does, and the VM memo keeps lowered scripts beyond their
+// project, so slabs are made per script: a memo entry keeps its own
+// script's blocks, as it would with one allocation per block.
+func (r *reader) slab(from, end int) {
+	lists := 0
+	for j := from; j < end; j++ {
+		if r.nodes[j].kind == listForm {
+			lists++
+		}
+	}
+	r.blocks = make([]blocks.Block, lists)
+	r.slots = make([]blocks.Node, max(end-from-lists-r.span(from, end), 0))
+}
+
+// error reports a failure at node i.
+func (r *reader) error(i int, format string, args ...any) error {
+	return errorAt(r.src, int(r.nodes[i].at), format, args...)
+}
+
+// errorAt reports a failure at byte offset at as line:col, where the
+// column counts runes (an invalid byte counts as one).
+func errorAt(src string, at int, format string, args ...any) error {
 	line, col := 1, 1
-	for j := 0; j < at && j < len(r.src); j++ {
-		if r.src[j] == '\n' {
+	for _, c := range src[:at] {
+		if c == '\n' {
 			line++
 			col = 1
 		} else {
@@ -70,130 +112,187 @@ func (r *reader) error(at int, format string, args ...any) error {
 	return fmt.Errorf("%d:%d: %s", line, col, fmt.Sprintf(format, args...))
 }
 
-func (r *reader) skipSpace() {
-	for r.i < len(r.src) {
-		c := r.src[r.i]
-		if c == ';' { // comment to end of line
-			for r.i < len(r.src) && r.src[r.i] != '\n' {
-				r.i++
-			}
-			continue
-		}
-		if !unicode.IsSpace(c) {
-			return
-		}
-		r.i++
+// symbolByte marks the ASCII bytes that continue a symbol: all but
+// whitespace (as unicode.IsSpace has it), parentheses and ';'. Bytes at
+// or above utf8.RuneSelf are decoded as runes before anything is decided.
+var symbolByte = func() (t [utf8.RuneSelf]bool) {
+	for c := range t {
+		t[c] = !strings.ContainsRune("\t\n\v\f\r ();", rune(c))
 	}
+	return t
+}()
+
+// multiAt decodes the rune starting at src[i], a byte at or above
+// utf8.RuneSelf: whether it is whitespace, whether it is an invalid byte
+// (which reads as U+FFFD), and its width.
+func multiAt(src string, i int) (isSpace, invalid bool, n int) {
+	c, n := utf8.DecodeRuneInString(src[i:])
+	return unicode.IsSpace(c), c == utf8.RuneError && n == 1, n
 }
 
-func (r *reader) read() (sexpr, error) {
-	r.skipSpace()
-	if r.i >= len(r.src) {
-		return nil, r.error(r.i, "unexpected end of input")
+// readAll reads every top-level form into one flat node array. The whole
+// tree is read before anything lowers, so a read error wins over any
+// lowering error.
+func readAll(src string) (*reader, error) {
+	if len(src) > maxSource {
+		return nil, fmt.Errorf("the source is %d bytes, more than the %d the reader takes", len(src), maxSource)
 	}
-	at := r.i
-	switch c := r.src[r.i]; {
-	case c == '(':
-		r.depth++
-		if r.depth > maxNesting {
-			return nil, r.error(at, "forms nested deeper than %d", maxNesting)
-		}
-		defer func() { r.depth-- }()
-		r.i++
-		var items []sexpr
-		for {
-			r.skipSpace()
-			if r.i >= len(r.src) {
-				return nil, r.error(at, "unclosed parenthesis")
+	nodes := make([]node, 0, len(src)/3) // dense code runs ~3 bytes a form
+	var open []int                       // the lists not yet closed, innermost last
+	for i := 0; i < len(src); {
+		at := i
+		switch c := src[i]; c {
+		case ' ', '\t', '\n', '\v', '\f', '\r':
+			i++
+		case ';': // a comment runs to the end of the line
+			nl := strings.IndexByte(src[i:], '\n')
+			if nl < 0 {
+				nl = len(src) - i
 			}
-			if r.src[r.i] == ')' {
-				r.i++
-				return list{at: at, items: items}, nil
+			i += nl
+		case '(':
+			if len(open) == maxNesting {
+				return nil, errorAt(src, at, "forms nested deeper than %d", maxNesting)
 			}
-			item, err := r.read()
-			if err != nil {
-				return nil, err
+			open = append(open, len(nodes))
+			nodes = append(nodes, node{at: int32(at), kind: listForm})
+			i++
+		case ')':
+			if len(open) == 0 {
+				return nil, errorAt(src, at, "unexpected ')'")
 			}
-			items = append(items, item)
-		}
-	case c == ')':
-		return nil, r.error(at, "unexpected ')'")
-	case c == '"':
-		r.i++
-		var b strings.Builder
-		for {
-			if r.i >= len(r.src) {
-				return nil, r.error(at, "unterminated string")
-			}
-			c := r.src[r.i]
-			r.i++
-			if c == '"' {
-				return atom{at: at, text: b.String(), str: true}, nil
-			}
-			if c == '\\' && r.i < len(r.src) {
-				esc := r.src[r.i]
-				r.i++
-				switch esc {
-				case 'n':
-					b.WriteByte('\n')
-				case 't':
-					b.WriteByte('\t')
-				default:
-					b.WriteRune(esc)
+			k := open[len(open)-1]
+			open = open[:len(open)-1]
+			i++
+			nodes[k].end = int32(i)
+			nodes[k].size = int32(len(nodes) - k)
+		case '"':
+			cooked := false
+			for i++; i < len(src) && src[i] != '"'; {
+				c := src[i]
+				if c == '\\' {
+					cooked = true
+					if i++; i == len(src) {
+						break // a backslash at the end leaves the string open
+					}
+					c = src[i]
 				}
-				continue
+				if c < utf8.RuneSelf {
+					i++
+					continue
+				}
+				_, bad, n := multiAt(src, i)
+				cooked = cooked || bad
+				i += n
 			}
-			b.WriteRune(c)
-		}
-	default:
-		var b strings.Builder
-		for r.i < len(r.src) {
-			c := r.src[r.i]
-			if unicode.IsSpace(c) || c == '(' || c == ')' || c == ';' {
-				break
+			if i >= len(src) {
+				return nil, errorAt(src, at, "unterminated string")
 			}
-			b.WriteRune(c)
-			r.i++
+			i++ // the closing quote
+			nodes = append(nodes, node{at: int32(at), end: int32(i), size: 1, kind: stringForm, cooked: cooked})
+		default:
+			if c >= utf8.RuneSelf {
+				if isSpace, _, n := multiAt(src, i); isSpace {
+					i += n
+					continue
+				}
+			}
+			cooked := false
+			for i < len(src) {
+				if c := src[i]; c < utf8.RuneSelf {
+					if !symbolByte[c] {
+						break
+					}
+					i++
+					continue
+				}
+				isSpace, bad, n := multiAt(src, i)
+				if isSpace {
+					break
+				}
+				cooked = cooked || bad
+				i += n
+			}
+			nodes = append(nodes, node{at: int32(at), end: int32(i), size: 1, kind: symbolForm, cooked: cooked})
 		}
-		return atom{at: at, text: b.String()}, nil
 	}
+	if len(open) > 0 {
+		return nil, errorAt(src, int(nodes[open[len(open)-1]].at), "unclosed parenthesis")
+	}
+	return &reader{src: src, nodes: nodes}, nil
 }
 
-// readAll reads every top-level form.
-func readAll(src string) ([]sexpr, *reader, error) {
-	r := &reader{src: []rune(src)}
-	var out []sexpr
-	for {
-		r.skipSpace()
-		if r.i >= len(r.src) {
-			return out, r, nil
-		}
-		form, err := r.read()
-		if err != nil {
-			return nil, r, err
-		}
-		out = append(out, form)
+// next is the index of the form after node i at the same level.
+func (r *reader) next(i int) int { return i + int(r.nodes[i].size) }
+
+// count is the number of items in list i.
+func (r *reader) count(i int) int { return r.span(i+1, r.next(i)) }
+
+// span is the number of sibling forms from index from up to end.
+func (r *reader) span(from, end int) int {
+	n := 0
+	for j := from; j < end; j = r.next(j) {
+		n++
 	}
+	return n
 }
+
+// text is atom i's text: its source bytes (a string without its quotes)
+// unless the atom is cooked. It may alias the source; what the AST keeps
+// takes keep instead.
+func (r *reader) text(i int) string {
+	nd := r.nodes[i]
+	s := r.src[nd.at:nd.end]
+	if nd.kind == stringForm {
+		s = s[1 : len(s)-1]
+	}
+	if !nd.cooked {
+		return s
+	}
+	var b strings.Builder
+	b.Grow(len(s))
+	for j := 0; j < len(s); {
+		c, n := utf8.DecodeRuneInString(s[j:])
+		j += n
+		if c == '\\' && nd.kind == stringForm {
+			esc, n := utf8.DecodeRuneInString(s[j:])
+			j += n
+			switch esc {
+			case 'n':
+				c = '\n'
+			case 't':
+				c = '\t'
+			default:
+				c = esc
+			}
+		}
+		b.WriteRune(c)
+	}
+	return b.String()
+}
+
+// keep is atom i's text in a string of its own. A lowered script outlives
+// its source (the VM memo keeps it), and should keep only its own text,
+// not the whole source through one atom sliced out of it.
+func (r *reader) keep(i int) string { return strings.Clone(r.text(i)) }
 
 // --- lowering to blocks ---
 
-// opSpec describes one operator: its opcode's builder and arity bounds.
+// opSpec describes one operator: its arity bounds, and either the
+// opcode its arguments become the inputs of, or a builder for operators
+// that rework their arguments.
 type opSpec struct {
 	min, max int // max < 0 means variadic
+	op       string
 	build    func(args []blocks.Node) (*blocks.Block, error)
 }
 
 func simple(op string, arity int) opSpec {
-	return opSpec{min: arity, max: arity, build: func(args []blocks.Node) (*blocks.Block, error) {
-		return blocks.NewBlock(op, args...), nil
-	}}
+	return opSpec{min: arity, max: arity, op: op}
 }
 
 func variadic(op string, min int) opSpec {
-	return opSpec{min: min, max: -1, build: func(args []blocks.Node) (*blocks.Block, error) {
-		return blocks.NewBlock(op, args...), nil
-	}}
+	return opSpec{min: min, max: -1, op: op}
 }
 
 // nameArg converts an argument in name position (set, for, foreach) back
@@ -336,22 +435,45 @@ func buildParallelForEach(parallel bool) func(args []blocks.Node) (*blocks.Block
 	}
 }
 
-// lower converts one s-expression into a block input node.
-func (r *reader) lower(s sexpr) (blocks.Node, error) {
-	switch x := s.(type) {
-	case atom:
-		return r.lowerAtom(x)
-	case list:
-		return r.lowerList(x)
+// lower converts form i into a block input node.
+func (r *reader) lower(i int) (blocks.Node, error) {
+	if r.nodes[i].kind == listForm {
+		return r.lowerList(i)
 	}
-	return nil, r.error(s.pos(), "unknown form")
+	return r.lowerAtom(i)
 }
 
-func (r *reader) lowerAtom(a atom) (blocks.Node, error) {
-	if a.str {
-		return blocks.Txt(a.text), nil
+// number parses a symbol's text as strconv.ParseFloat does. Up to 15
+// plain digits, most numbers in programs, convert exactly without it.
+// Text ParseFloat cannot accept skips it too, sparing a bare name the
+// allocation of a failed parse: a number starts with a sign, a digit or
+// a point, or is inf, infinity or nan in any case.
+func number(text string) (float64, bool) {
+	digits, n := len(text) <= 15, 0
+	for i := 0; digits && i < len(text); i++ {
+		d := text[i] - '0'
+		digits = d <= 9
+		n = n*10 + int(d)
 	}
-	switch a.text {
+	if digits {
+		return float64(n), true
+	}
+	switch c := text[0]; {
+	case c >= '0' && c <= '9', c == '+', c == '-', c == '.':
+	case c|0x20 == 'i' && (len(text) == 3 || len(text) == 8), c|0x20 == 'n' && len(text) == 3:
+	default:
+		return 0, false
+	}
+	f, err := strconv.ParseFloat(text, 64)
+	return f, err == nil
+}
+
+func (r *reader) lowerAtom(i int) (blocks.Node, error) {
+	if r.nodes[i].kind == stringForm {
+		return blocks.Txt(r.keep(i)), nil
+	}
+	text := r.text(i)
+	switch text {
 	case "_":
 		return blocks.Empty(), nil
 	case "true":
@@ -359,41 +481,43 @@ func (r *reader) lowerAtom(a atom) (blocks.Node, error) {
 	case "false":
 		return blocks.BoolLit(false), nil
 	}
-	if strings.HasPrefix(a.text, "$") {
-		if len(a.text) == 1 {
-			return nil, r.error(a.at, "$ needs a variable name")
+	if text[0] == '$' {
+		if len(text) == 1 {
+			return nil, r.error(i, "$ needs a variable name")
 		}
-		return blocks.Var(a.text[1:]), nil
+		return blocks.Var(strings.Clone(text[1:])), nil
 	}
-	if f, err := strconv.ParseFloat(a.text, 64); err == nil {
+	if f, ok := number(text); ok {
 		return blocks.Num(f), nil
 	}
 	// Bare symbols stand for names (variable slots of set/for/foreach);
 	// lower as VarGet so nameArg can recover the spelling, and reading
 	// them in value position still reads the variable.
-	return blocks.Var(a.text), nil
+	return blocks.Var(strings.Clone(text)), nil
 }
 
-func (r *reader) lowerList(l list) (blocks.Node, error) {
-	if len(l.items) == 0 {
-		return nil, r.error(l.at, "empty form")
+func (r *reader) lowerList(l int) (blocks.Node, error) {
+	end := r.next(l)
+	if end == l+1 {
+		return nil, r.error(l, "empty form")
 	}
-	head, ok := l.items[0].(atom)
-	if !ok || head.str {
-		return nil, r.error(l.items[0].pos(), "a form must start with an operator symbol")
+	h := l + 1
+	if r.nodes[h].kind != symbolForm {
+		return nil, r.error(h, "a form must start with an operator symbol")
 	}
-	switch head.text {
+	head := r.text(h)
+	switch head {
 	case "do":
-		script, err := r.lowerScript(l.items[1:])
+		script, err := r.lowerScript(h+1, end)
 		if err != nil {
 			return nil, err
 		}
 		return blocks.ScriptNode{Script: script}, nil
 	case "ring":
-		if len(l.items) != 2 {
-			return nil, r.error(l.at, "ring takes exactly one body")
+		if r.count(l) != 2 {
+			return nil, r.error(l, "ring takes exactly one body")
 		}
-		body, err := r.lower(l.items[1])
+		body, err := r.lower(h + 1)
 		if err != nil {
 			return nil, err
 		}
@@ -402,22 +526,21 @@ func (r *reader) lowerList(l list) (blocks.Node, error) {
 		}
 		return blocks.RingOf(body), nil
 	case "lambda":
-		if len(l.items) != 3 {
-			return nil, r.error(l.at, "lambda takes a parameter list and one body")
+		if r.count(l) != 3 {
+			return nil, r.error(l, "lambda takes a parameter list and one body")
 		}
-		plist, ok := l.items[1].(list)
-		if !ok {
-			return nil, r.error(l.items[1].pos(), "lambda parameters must be a list")
+		plist := h + 1
+		if r.nodes[plist].kind != listForm {
+			return nil, r.error(plist, "lambda parameters must be a list")
 		}
 		var params []string
-		for _, p := range plist.items {
-			pa, ok := p.(atom)
-			if !ok || pa.str {
-				return nil, r.error(p.pos(), "lambda parameter must be a symbol")
+		for p := plist + 1; p < r.next(plist); p = r.next(p) {
+			if r.nodes[p].kind != symbolForm {
+				return nil, r.error(p, "lambda parameter must be a symbol")
 			}
-			params = append(params, pa.text)
+			params = append(params, r.keep(p))
 		}
-		body, err := r.lower(l.items[2])
+		body, err := r.lower(r.next(plist))
 		if err != nil {
 			return nil, err
 		}
@@ -426,13 +549,13 @@ func (r *reader) lowerList(l list) (blocks.Node, error) {
 		}
 		return blocks.RingOf(body, params...), nil
 	}
-	spec, ok := ops[head.text]
+	spec, ok := ops[head]
 	if !ok {
-		return nil, r.error(head.at, "unknown operator %q", head.text)
+		return nil, r.error(h, "unknown operator %q", head)
 	}
-	args := make([]blocks.Node, 0, len(l.items)-1)
-	for _, item := range l.items[1:] {
-		n, err := r.lower(item)
+	args := r.inputs(r.count(l) - 1)
+	for j := h + 1; j < end; j = r.next(j) {
+		n, err := r.lower(j)
 		if err != nil {
 			return nil, err
 		}
@@ -440,27 +563,57 @@ func (r *reader) lowerList(l list) (blocks.Node, error) {
 	}
 	if len(args) < spec.min || (spec.max >= 0 && len(args) > spec.max) {
 		if spec.max < 0 {
-			return nil, r.error(l.at, "%s needs at least %d inputs, got %d", head.text, spec.min, len(args))
+			return nil, r.error(l, "%s needs at least %d inputs, got %d", head, spec.min, len(args))
 		}
-		return nil, r.error(l.at, "%s needs %d inputs, got %d", head.text, spec.max, len(args))
+		return nil, r.error(l, "%s needs %d inputs, got %d", head, spec.max, len(args))
+	}
+	if spec.build == nil {
+		return r.block(spec.op, args), nil
 	}
 	b, err := spec.build(args)
 	if err != nil {
-		return nil, r.error(l.at, "%s: %v", head.text, err)
+		return nil, r.error(l, "%s: %v", head, err)
 	}
 	return b, nil
 }
 
-func (r *reader) lowerScript(forms []sexpr) (*blocks.Script, error) {
+// block returns a new block with the given opcode and inputs, from the
+// slab while it lasts.
+func (r *reader) block(op string, inputs []blocks.Node) *blocks.Block {
+	if len(r.blocks) == 0 {
+		return blocks.NewBlock(op, inputs...)
+	}
+	b := &r.blocks[0]
+	r.blocks = r.blocks[1:]
+	b.Op, b.Inputs = op, inputs
+	return b
+}
+
+// inputs returns an empty slice with room for n inputs, from the slab
+// while it lasts.
+func (r *reader) inputs(n int) []blocks.Node {
+	if len(r.slots) < n {
+		return make([]blocks.Node, 0, n)
+	}
+	in := r.slots[:0:n]
+	r.slots = r.slots[n:]
+	return in
+}
+
+// lowerScript lowers the forms from index from up to end, siblings all.
+func (r *reader) lowerScript(from, end int) (*blocks.Script, error) {
 	script := blocks.NewScript()
-	for _, form := range forms {
-		n, err := r.lower(form)
+	if n := r.span(from, end); n > 0 {
+		script.Blocks = make([]*blocks.Block, 0, n)
+	}
+	for j := from; j < end; j = r.next(j) {
+		n, err := r.lower(j)
 		if err != nil {
 			return nil, err
 		}
 		b, ok := n.(*blocks.Block)
 		if !ok {
-			return nil, r.error(form.pos(), "scripts contain command blocks, not %T", n)
+			return nil, r.error(j, "scripts contain command blocks, not %T", n)
 		}
 		script.Append(b)
 	}
@@ -469,23 +622,25 @@ func (r *reader) lowerScript(forms []sexpr) (*blocks.Script, error) {
 
 // Expr parses a single expression (a reporter or command form).
 func Expr(src string) (blocks.Node, error) {
-	forms, r, err := readAll(src)
+	r, err := readAll(src)
 	if err != nil {
 		return nil, err
 	}
-	if len(forms) != 1 {
-		return nil, fmt.Errorf("expected exactly one expression, got %d", len(forms))
+	if n := r.span(0, len(r.nodes)); n != 1 {
+		return nil, fmt.Errorf("expected exactly one expression, got %d", n)
 	}
-	return r.lower(forms[0])
+	r.slab(0, len(r.nodes))
+	return r.lower(0)
 }
 
 // Script parses a sequence of top-level command forms into a script.
 func Script(src string) (*blocks.Script, error) {
-	forms, r, err := readAll(src)
+	r, err := readAll(src)
 	if err != nil {
 		return nil, err
 	}
-	return r.lowerScript(forms)
+	r.slab(0, len(r.nodes))
+	return r.lowerScript(0, len(r.nodes))
 }
 
 // Ops lists the operator vocabulary, sorted — the textual palette.

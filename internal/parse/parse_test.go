@@ -1,6 +1,9 @@
 package parse
 
 import (
+	"math"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/blocks"
@@ -158,38 +161,71 @@ func TestControlForms(t *testing.T) {
 	}
 }
 
+// exprErrors pins Expr's error for each row, byte for byte. Columns
+// count runes, U+0085 and U+00A0 are whitespace, and invalid UTF-8 reads
+// as U+FFFD per byte, as they did when the reader ran over []rune.
+var exprErrors = []struct{ src, want string }{
+	{"", "expected exactly one expression, got 0"},
+	{"(", "1:1: unclosed parenthesis"},
+	{")", "1:1: unexpected ')'"},
+	{"(+ 1", "1:1: unclosed parenthesis"},
+	{`("not an op" 1)`, "1:2: a form must start with an operator symbol"},
+	{"(zorp 1)", `1:2: unknown operator "zorp"`},
+	{"(+ 1 2 3)", "1:1: + needs 2 inputs, got 3"},
+	{"(+ 1)", "1:1: + needs 2 inputs, got 1"},
+	{"(ring)", "1:1: ring takes exactly one body"},
+	{"(ring 1 2)", "1:1: ring takes exactly one body"},
+	{"(lambda x (+ 1 1))", "1:9: lambda parameters must be a list"},
+	{`(lambda ("x") 1)`, "1:10: lambda parameter must be a symbol"},
+	{"(lambda (x) 1 2)", "1:1: lambda takes a parameter list and one body"},
+	{"()", "1:1: empty form"},
+	{`(set 5 1)`, "1:1: set: expected a name"},
+	{"($)", `1:2: unknown operator "$"`},
+	{`"unterminated`, "1:1: unterminated string"},
+	{"(declare 5)", "1:1: declare: declare: expected a name"},
+	{"(+ 1 2) (+ 3 4)", "expected exactly one expression, got 2"},
+	// Columns after non-ASCII text count runes, not bytes.
+	{"(join \"héllo\" \"wörld\"\n  (zörp 1))", `2:4: unknown operator "zörp"`},
+	{"(join \"日本\" (zorp 1))", `1:13: unknown operator "zorp"`},
+	// U+00A0 and U+0085 separate tokens like a space.
+	{"(+\u00a01)", "1:1: + needs 2 inputs, got 1"},
+	{"(+\u00851 2 3)", "1:1: + needs 2 inputs, got 3"},
+	{"\u00a0\u0085)", "1:3: unexpected ')'"},
+	// Invalid UTF-8 in a symbol and in a string; each bad byte is one column.
+	{"(zo\xffrp 1)", "1:2: unknown operator \"zo\uFFFDrp\""},
+	{"(join \"a\xffb\" (zorp))", `1:14: unknown operator "zorp"`},
+	{"(join \"a\xffb\" \"c\\\xffd\" ($))", `1:21: unknown operator "$"`},
+	// A backslash at the end of input leaves a string open.
+	{"\"abc\\", "1:1: unterminated string"},
+	{"(+ 1 \\", "1:1: unclosed parenthesis"},
+	// A comment at the end of input needs no newline.
+	{"(+ 1 ; no newline", "1:1: unclosed parenthesis"},
+	{"; only a comment", "expected exactly one expression, got 0"},
+	{strings.Repeat("(", maxNesting+1), "1:10001: forms nested deeper than 10000"},
+	{strings.Repeat("(", maxNesting), "1:10000: unclosed parenthesis"},
+}
+
+// scriptErrors pins Script's error for each row.
+var scriptErrors = []struct{ src, want string }{
+	{"(+ 1 2) 5", "1:9: scripts contain command blocks, not blocks.Literal"},
+	{"(do (bogus))", `1:6: unknown operator "bogus"`},
+}
+
 func TestParseErrors(t *testing.T) {
-	bad := []string{
-		"",
-		"(",
-		")",
-		"(+ 1",
-		`("not an op" 1)`,
-		"(zorp 1)",
-		"(+ 1 2 3)",
-		"(+ 1)",
-		"(ring)",
-		"(ring 1 2)",
-		"(lambda x (+ 1 1))",
-		`(lambda ("x") 1)`,
-		"(lambda (x) 1 2)",
-		"()",
-		`(set 5 1)`,
-		"($)",
-		`"unterminated`,
-		"(declare 5)",
-		"(+ 1 2) (+ 3 4)", // Expr wants exactly one
-	}
-	for _, src := range bad {
-		if _, err := Expr(src); err == nil {
-			t.Errorf("Expr(%q) should fail", src)
+	for _, c := range exprErrors {
+		if _, err := Expr(c.src); err == nil || err.Error() != c.want {
+			t.Errorf("Expr(%.40q) error = %v, want %q", c.src, err, c.want)
 		}
 	}
-	if _, err := Script("(+ 1 2) 5"); err == nil {
-		t.Error("a bare literal is not a command")
+	for _, c := range scriptErrors {
+		if _, err := Script(c.src); err == nil || err.Error() != c.want {
+			t.Errorf("Script(%q) error = %v, want %q", c.src, err, c.want)
+		}
 	}
-	if _, err := Script("(do (bogus))"); err == nil {
-		t.Error("bad nested form should fail")
+	// Nesting up to the cap is fine.
+	deep := strings.Repeat("(list ", maxNesting) + "1" + strings.Repeat(")", maxNesting)
+	if _, err := Expr(deep); err != nil {
+		t.Errorf("%d-deep expression: %v", maxNesting, err)
 	}
 }
 
@@ -241,5 +277,22 @@ func TestWhitespaceAndUnicode(t *testing.T) {
 	v := evalExpr(t, "(join \"héllo\" \" \" \"wörld\")")
 	if v.String() != "héllo wörld" {
 		t.Errorf("unicode = %q", v.String())
+	}
+}
+
+// TestNumberMatchesParseFloat holds the reader's number fast paths to
+// strconv.ParseFloat, which decides what a numeric atom is.
+func TestNumberMatchesParseFloat(t *testing.T) {
+	for _, s := range []string{
+		"0", "007", "42", "123456789012345", "1234567890123456", "99999999999999999999",
+		"-0", "+5", ".5", "5.", "1e3", "0x1p-2", "1_000", "0x_1p0", "e5", "_1",
+		"inf", "INF", "+inf", "Infinity", "-infinity", "infinit", "nan", "NaN", "nan1",
+		"i", "n", "in", "x", "$x",
+	} {
+		got, ok := number(s)
+		want, err := strconv.ParseFloat(s, 64)
+		if ok != (err == nil) || ok && got != want && !(math.IsNaN(got) && math.IsNaN(want)) {
+			t.Errorf("number(%q) = %v, %v; ParseFloat gives %v, %v", s, got, ok, want, err)
+		}
 	}
 }

@@ -21,22 +21,26 @@ var opNames = map[string]string{}
 func init() {
 	// Invert by probing each builder with placeholder inputs.
 	for name, spec := range ops {
-		n := spec.min
-		if n < 1 {
-			n = 1
-		}
-		args := make([]blocks.Node, n)
-		for i := range args {
-			args[i] = blocks.Var("x") // satisfies name positions too
-		}
-		b, err := spec.build(args)
-		if err != nil {
-			continue
+		op := spec.op
+		if spec.build != nil {
+			n := spec.min
+			if n < 1 {
+				n = 1
+			}
+			args := make([]blocks.Node, n)
+			for i := range args {
+				args[i] = blocks.Var("x") // satisfies name positions too
+			}
+			b, err := spec.build(args)
+			if err != nil {
+				continue
+			}
+			op = b.Op
 		}
 		// Prefer the shortest spelling when several map to one opcode
 		// (none currently collide except via explicit aliases).
-		if old, ok := opNames[b.Op]; !ok || len(name) < len(old) {
-			opNames[b.Op] = name
+		if old, ok := opNames[op]; !ok || len(name) < len(old) {
+			opNames[op] = name
 		}
 	}
 }

@@ -27,262 +27,263 @@ import (
 
 // Project parses a textual project definition.
 func Project(src string) (*blocks.Project, error) {
-	forms, r, err := readAll(src)
+	r, err := readAll(src)
 	if err != nil {
 		return nil, err
 	}
-	if len(forms) != 1 {
-		return nil, fmt.Errorf("expected exactly one (project ...) form, got %d forms", len(forms))
+	if n := r.span(0, len(r.nodes)); n != 1 {
+		return nil, fmt.Errorf("expected exactly one (project ...) form, got %d forms", n)
 	}
-	top, ok := forms[0].(list)
-	if !ok || len(top.items) < 2 {
+	if r.nodes[0].kind != listForm || r.count(0) < 2 {
 		return nil, fmt.Errorf("expected (project \"name\" ...)")
 	}
-	head, ok := top.items[0].(atom)
-	if !ok || head.text != "project" {
-		return nil, fmt.Errorf("expected (project ...), got %v", top.items[0])
+	if head := r.nodes[1]; head.kind == listForm || r.text(1) != "project" {
+		return nil, fmt.Errorf("expected (project ...), got %s", src[head.at:head.end])
 	}
-	nameAtom, ok := top.items[1].(atom)
-	if !ok {
-		return nil, r.error(top.items[1].pos(), "project name must be a string or symbol")
+	name := r.next(1)
+	if r.nodes[name].kind == listForm {
+		return nil, r.error(name, "project name must be a string or symbol")
 	}
-	p := blocks.NewProject(nameAtom.text)
-	for _, form := range top.items[2:] {
-		l, ok := form.(list)
-		if !ok || len(l.items) == 0 {
-			return nil, r.error(form.pos(), "project bodies are (global ...), (define ...), or (sprite ...) forms")
+	p := blocks.NewProject(r.keep(name))
+	for form := r.next(name); form < len(r.nodes); form = r.next(form) {
+		nd := r.nodes[form]
+		if nd.kind != listForm || nd.size == 1 {
+			return nil, r.error(form, "project bodies are (global ...), (define ...), or (sprite ...) forms")
 		}
-		kind, ok := l.items[0].(atom)
-		if !ok {
-			return nil, r.error(l.items[0].pos(), "expected a form keyword")
+		kind := form + 1
+		if r.nodes[kind].kind == listForm {
+			return nil, r.error(kind, "expected a form keyword")
 		}
-		switch kind.text {
+		switch keyword := r.text(kind); keyword {
 		case "global":
-			if err := r.parseGlobal(p, l); err != nil {
+			if err := r.parseGlobal(p, form); err != nil {
 				return nil, err
 			}
 		case "define":
-			cb, err := r.parseDefine(l)
+			cb, err := r.parseDefine(form)
 			if err != nil {
 				return nil, err
 			}
 			p.Customs[cb.Name] = cb
 		case "sprite":
-			sp, err := r.parseSprite(l)
+			sp, err := r.parseSprite(form)
 			if err != nil {
 				return nil, err
 			}
 			p.AddSprite(sp)
 		default:
-			return nil, r.error(kind.at, "unknown project form %q", kind.text)
+			return nil, r.error(kind, "unknown project form %q", keyword)
 		}
 	}
 	return p, nil
 }
 
 // parseGlobal handles (global name initial-value?).
-func (r *reader) parseGlobal(p *blocks.Project, l list) error {
-	if len(l.items) < 2 || len(l.items) > 3 {
-		return r.error(l.at, "global takes a name and an optional initial value")
+func (r *reader) parseGlobal(p *blocks.Project, l int) error {
+	n := r.count(l)
+	if n < 2 || n > 3 {
+		return r.error(l, "global takes a name and an optional initial value")
 	}
-	nameAtom, ok := l.items[1].(atom)
-	if !ok || nameAtom.str {
-		return r.error(l.items[1].pos(), "global name must be a symbol")
+	name := l + 2
+	if r.nodes[name].kind != symbolForm {
+		return r.error(name, "global name must be a symbol")
 	}
-	if len(l.items) == 2 {
-		p.Globals[nameAtom.text] = value.Nothing{}
+	if n == 2 {
+		p.Globals[r.keep(name)] = value.Nothing{}
 		return nil
 	}
-	v, err := r.constValue(l.items[2])
+	v, err := r.constValue(name + 1)
 	if err != nil {
 		return err
 	}
-	p.Globals[nameAtom.text] = v
+	p.Globals[r.keep(name)] = v
 	return nil
 }
 
 // constValue evaluates the constant expressions allowed as initial values:
 // literals and (list ...) of constants.
-func (r *reader) constValue(s sexpr) (value.Value, error) {
-	switch x := s.(type) {
-	case atom:
-		if x.str {
-			return value.Text(x.text), nil
-		}
-		n, err := r.lowerAtom(x)
+func (r *reader) constValue(i int) (value.Value, error) {
+	switch r.nodes[i].kind {
+	case stringForm:
+		return value.Text(r.keep(i)), nil
+	case symbolForm:
+		n, err := r.lowerAtom(i)
 		if err != nil {
 			return nil, err
 		}
 		if lit, ok := n.(blocks.Literal); ok {
 			return lit.Val, nil
 		}
-		return nil, r.error(x.at, "globals take constant initial values, not %q", x.text)
-	case list:
-		if len(x.items) == 0 {
-			return nil, r.error(x.at, "empty form")
-		}
-		head, ok := x.items[0].(atom)
-		if !ok || head.text != "list" {
-			return nil, r.error(x.at, "globals take constants or (list ...) initial values")
-		}
-		items := make([]value.Value, 0, len(x.items)-1)
-		for _, item := range x.items[1:] {
-			v, err := r.constValue(item)
-			if err != nil {
-				return nil, err
-			}
-			items = append(items, v)
-		}
-		// AdoptSlice turns a long homogeneous literal (a data-file-sized
-		// numeric global) into a columnar list in the shared AST.
-		return value.AdoptSlice(items), nil
+		return nil, r.error(i, "globals take constant initial values, not %q", r.text(i))
 	}
-	return nil, r.error(s.pos(), "bad constant")
+	end := r.next(i)
+	if end == i+1 {
+		return nil, r.error(i, "empty form")
+	}
+	if r.nodes[i+1].kind == listForm || r.text(i+1) != "list" {
+		return nil, r.error(i, "globals take constants or (list ...) initial values")
+	}
+	items := make([]value.Value, 0, r.count(i)-1)
+	for j := i + 2; j < end; j = r.next(j) {
+		v, err := r.constValue(j)
+		if err != nil {
+			return nil, err
+		}
+		items = append(items, v)
+	}
+	// AdoptSlice turns a long homogeneous literal (a data-file-sized
+	// numeric global) into a columnar list in the shared AST.
+	return value.AdoptSlice(items), nil
 }
 
 // parseDefine handles (define (name params...) reporter|command body-do).
-func (r *reader) parseDefine(l list) (*blocks.CustomBlock, error) {
-	if len(l.items) != 4 {
-		return nil, r.error(l.at, "define takes (name params...), reporter|command, and a (do ...) body")
+func (r *reader) parseDefine(l int) (*blocks.CustomBlock, error) {
+	if r.count(l) != 4 {
+		return nil, r.error(l, "define takes (name params...), reporter|command, and a (do ...) body")
 	}
-	sig, ok := l.items[1].(list)
-	if !ok || len(sig.items) == 0 {
-		return nil, r.error(l.items[1].pos(), "define needs a (name params...) signature")
+	sig := l + 2
+	if r.nodes[sig].kind != listForm || r.nodes[sig].size == 1 {
+		return nil, r.error(sig, "define needs a (name params...) signature")
 	}
 	cb := &blocks.CustomBlock{}
-	for i, item := range sig.items {
-		a, ok := item.(atom)
-		if !ok || a.str {
-			return nil, r.error(item.pos(), "signature elements must be symbols")
+	for j := sig + 1; j < r.next(sig); j = r.next(j) {
+		if r.nodes[j].kind != symbolForm {
+			return nil, r.error(j, "signature elements must be symbols")
 		}
-		if i == 0 {
-			cb.Name = a.text
+		if j == sig+1 {
+			cb.Name = r.keep(j)
 		} else {
-			cb.Params = append(cb.Params, a.text)
+			cb.Params = append(cb.Params, r.keep(j))
 		}
 	}
-	kindAtom, ok := l.items[2].(atom)
-	if !ok || (kindAtom.text != "reporter" && kindAtom.text != "command") {
-		return nil, r.error(l.items[2].pos(), "define kind must be reporter or command")
+	kind := r.next(sig)
+	if r.nodes[kind].kind == listForm || (r.text(kind) != "reporter" && r.text(kind) != "command") {
+		return nil, r.error(kind, "define kind must be reporter or command")
 	}
-	cb.IsReporter = kindAtom.text == "reporter"
-	body, err := r.lower(l.items[3])
+	cb.IsReporter = r.text(kind) == "reporter"
+	body, err := r.lowerBody(kind+1, "define")
+	if err != nil {
+		return nil, err
+	}
+	cb.Body = body
+	return cb, nil
+}
+
+// lowerBody lowers form i, the (do ...) body of a definition or a hat
+// script, with slabs of its own (see slab).
+func (r *reader) lowerBody(i int, what string) (*blocks.Script, error) {
+	if r.nodes[i].kind == listForm {
+		r.slab(i+2, r.next(i)) // the forms after the head
+	}
+	body, err := r.lower(i)
 	if err != nil {
 		return nil, err
 	}
 	sn, ok := body.(blocks.ScriptNode)
 	if !ok {
-		return nil, r.error(l.items[3].pos(), "define body must be a (do ...) form")
+		return nil, r.error(i, "%s body must be a (do ...) form", what)
 	}
-	cb.Body = sn.Script
-	return cb, nil
+	return sn.Script, nil
 }
 
 // parseSprite handles (sprite "Name" (at x y)? (local name val?)* (when hat script)*).
-func (r *reader) parseSprite(l list) (*blocks.Sprite, error) {
-	if len(l.items) < 2 {
-		return nil, r.error(l.at, "sprite needs a name")
+func (r *reader) parseSprite(l int) (*blocks.Sprite, error) {
+	if r.count(l) < 2 {
+		return nil, r.error(l, "sprite needs a name")
 	}
-	nameAtom, ok := l.items[1].(atom)
-	if !ok {
-		return nil, r.error(l.items[1].pos(), "sprite name must be a string")
+	name := l + 2
+	if r.nodes[name].kind == listForm {
+		return nil, r.error(name, "sprite name must be a string")
 	}
-	sp := blocks.NewSprite(nameAtom.text)
-	for _, form := range l.items[2:] {
-		fl, ok := form.(list)
-		if !ok || len(fl.items) == 0 {
-			return nil, r.error(form.pos(), "sprite bodies are (at ...), (local ...), or (when ...) forms")
+	sp := blocks.NewSprite(r.keep(name))
+	for form := name + 1; form < r.next(l); form = r.next(form) {
+		if r.nodes[form].kind != listForm || r.nodes[form].size == 1 {
+			return nil, r.error(form, "sprite bodies are (at ...), (local ...), or (when ...) forms")
 		}
-		kind, ok := fl.items[0].(atom)
-		if !ok {
-			return nil, r.error(fl.items[0].pos(), "expected a form keyword")
+		kind := form + 1
+		if r.nodes[kind].kind == listForm {
+			return nil, r.error(kind, "expected a form keyword")
 		}
-		switch kind.text {
+		n := r.count(form)
+		switch keyword := r.text(kind); keyword {
 		case "at":
-			if len(fl.items) != 3 {
-				return nil, r.error(fl.at, "at takes x and y")
+			if n != 3 {
+				return nil, r.error(form, "at takes x and y")
 			}
-			x, errX := r.constValue(fl.items[1])
-			y, errY := r.constValue(fl.items[2])
+			x, errX := r.constValue(kind + 1)
+			y, errY := r.constValue(r.next(kind + 1))
 			if errX != nil || errY != nil {
-				return nil, r.error(fl.at, "at takes numeric constants")
+				return nil, r.error(form, "at takes numeric constants")
 			}
 			xn, errX := value.ToNumber(x)
 			yn, errY := value.ToNumber(y)
 			if errX != nil || errY != nil {
-				return nil, r.error(fl.at, "at takes numeric constants")
+				return nil, r.error(form, "at takes numeric constants")
 			}
 			sp.X, sp.Y = float64(xn), float64(yn)
 		case "local":
-			if len(fl.items) < 2 || len(fl.items) > 3 {
-				return nil, r.error(fl.at, "local takes a name and an optional initial value")
+			if n < 2 || n > 3 {
+				return nil, r.error(form, "local takes a name and an optional initial value")
 			}
-			na, ok := fl.items[1].(atom)
-			if !ok || na.str {
-				return nil, r.error(fl.items[1].pos(), "local name must be a symbol")
+			local := kind + 1
+			if r.nodes[local].kind != symbolForm {
+				return nil, r.error(local, "local name must be a symbol")
 			}
-			if len(fl.items) == 3 {
-				v, err := r.constValue(fl.items[2])
+			if n == 3 {
+				v, err := r.constValue(local + 1)
 				if err != nil {
 					return nil, err
 				}
-				sp.Variables[na.text] = v
+				sp.Variables[r.keep(local)] = v
 			} else {
-				sp.Variables[na.text] = value.Nothing{}
+				sp.Variables[r.keep(local)] = value.Nothing{}
 			}
 		case "when":
-			if len(fl.items) != 3 {
-				return nil, r.error(fl.at, "when takes a hat and a (do ...) script")
+			if n != 3 {
+				return nil, r.error(form, "when takes a hat and a (do ...) script")
 			}
-			hat, arg, err := r.parseHat(fl.items[1])
+			hat, arg, err := r.parseHat(kind + 1)
 			if err != nil {
 				return nil, err
 			}
-			body, err := r.lower(fl.items[2])
+			body, err := r.lowerBody(r.next(kind+1), "when")
 			if err != nil {
 				return nil, err
 			}
-			sn, ok := body.(blocks.ScriptNode)
-			if !ok {
-				return nil, r.error(fl.items[2].pos(), "when body must be a (do ...) form")
-			}
-			sp.AddScript(hat, arg, sn.Script)
+			sp.AddScript(hat, arg, body)
 		default:
-			return nil, r.error(kind.at, "unknown sprite form %q", kind.text)
+			return nil, r.error(kind, "unknown sprite form %q", keyword)
 		}
 	}
 	return sp, nil
 }
 
-func (r *reader) parseHat(s sexpr) (blocks.HatKind, string, error) {
-	switch x := s.(type) {
-	case atom:
-		switch x.text {
+func (r *reader) parseHat(i int) (blocks.HatKind, string, error) {
+	if r.nodes[i].kind != listForm {
+		switch text := r.text(i); text {
 		case "green-flag":
 			return blocks.HatGreenFlag, "", nil
 		case "clone-start":
 			return blocks.HatCloneStart, "", nil
+		default:
+			return 0, "", r.error(i, "unknown hat %q (green-flag, clone-start, (key ...), (receive ...))", text)
 		}
-		return 0, "", r.error(x.at, "unknown hat %q (green-flag, clone-start, (key ...), (receive ...))", x.text)
-	case list:
-		if len(x.items) != 2 {
-			return 0, "", r.error(x.at, "hat forms take one argument")
-		}
-		kind, ok := x.items[0].(atom)
-		if !ok {
-			return 0, "", r.error(x.items[0].pos(), "expected key or receive")
-		}
-		arg, ok := x.items[1].(atom)
-		if !ok {
-			return 0, "", r.error(x.items[1].pos(), "hat argument must be a string")
-		}
-		switch kind.text {
-		case "key":
-			return blocks.HatKeyPress, arg.text, nil
-		case "receive":
-			return blocks.HatBroadcast, arg.text, nil
-		}
-		return 0, "", r.error(kind.at, "unknown hat form %q", kind.text)
 	}
-	return 0, "", r.error(s.pos(), "bad hat")
+	if r.count(i) != 2 {
+		return 0, "", r.error(i, "hat forms take one argument")
+	}
+	kind, arg := i+1, i+2
+	if r.nodes[kind].kind == listForm {
+		return 0, "", r.error(kind, "expected key or receive")
+	}
+	if r.nodes[arg].kind == listForm {
+		return 0, "", r.error(arg, "hat argument must be a string")
+	}
+	switch r.text(kind) {
+	case "key":
+		return blocks.HatKeyPress, r.keep(arg), nil
+	case "receive":
+		return blocks.HatBroadcast, r.keep(arg), nil
+	}
+	return 0, "", r.error(kind, "unknown hat form %q", r.text(kind))
 }

@@ -2,6 +2,7 @@ package parse
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"repro/internal/interp"
@@ -112,33 +113,44 @@ func TestProjectWithDefineAndLocalsAndKeys(t *testing.T) {
 	}
 }
 
+// projectErrors pins Project's error for each row, byte for byte.
+var projectErrors = []struct{ src, want string }{
+	{``, "expected exactly one (project ...) form, got 0 forms"},
+	// The head is printed as its source text.
+	{`(+ 1 2)`, "expected (project ...), got +"},
+	{`((project) "x")`, "expected (project ...), got (project)"},
+	{`(project)`, `expected (project "name" ...)`},
+	{`(project "x" (zorp))`, `1:15: unknown project form "zorp"`},
+	{`(project "x" 5)`, "1:14: project bodies are (global ...), (define ...), or (sprite ...) forms"},
+	{`(project "x" (global))`, "1:14: global takes a name and an optional initial value"},
+	{`(project "x" (global "quoted" 1))`, "1:22: global name must be a symbol"},
+	{`(project "x" (global g (+ 1 2)))`, "1:24: globals take constants or (list ...) initial values"},
+	{`(project "x" (global g (numbers 1 3)))`, "1:24: globals take constants or (list ...) initial values"},
+	{`(project "x" (sprite))`, "1:14: sprite needs a name"},
+	{`(project "x" (sprite "S" (zorp)))`, `1:27: unknown sprite form "zorp"`},
+	{`(project "x" (sprite "S" (at 1)))`, "1:26: at takes x and y"},
+	{`(project "x" (sprite "S" (at "a" "b")))`, "1:26: at takes numeric constants"},
+	{`(project "x" (sprite "S" (when bogus (do))))`, `1:32: unknown hat "bogus" (green-flag, clone-start, (key ...), (receive ...))`},
+	{`(project "x" (sprite "S" (when (key) (do))))`, "1:32: hat forms take one argument"},
+	{`(project "x" (sprite "S" (when (zorp "a") (do))))`, `1:33: unknown hat form "zorp"`},
+	{`(project "x" (sprite "S" (when green-flag (+ 1 2))))`, "1:43: when body must be a (do ...) form"},
+	{`(project "x" (define (f) reporter 5))`, "1:35: define body must be a (do ...) form"},
+	{`(project "x" (define (f) maybe (do)))`, "1:26: define kind must be reporter or command"},
+	{`(project "x" (define f reporter (do)))`, "1:22: define needs a (name params...) signature"},
+	{`(project "x") (project "y")`, "expected exactly one (project ...) form, got 2 forms"},
+	{`("project" "x" (zorp))`, `1:17: unknown project form "zorp"`},
+	{"(project \"x\" (sprite \"Sé\" (zörp)))", `1:28: unknown sprite form "zörp"`},
+	{"(project \"x\"\u00a0(zorp))", `1:15: unknown project form "zorp"`},
+	{"(project \"x\" (\"a\xffb\"))", "1:15: unknown project form \"a\uFFFDb\""},
+	{`(project "x" (sprite "S" (when (receive "m\"") (do (zorp)))))`, `1:53: unknown operator "zorp"`},
+	{`(project "x" (global g) ; no newline`, "1:1: unclosed parenthesis"},
+	{strings.Repeat("(", maxNesting+1), "1:10001: forms nested deeper than 10000"},
+}
+
 func TestProjectErrors(t *testing.T) {
-	bad := []string{
-		``,
-		`(+ 1 2)`,
-		`(project)`,
-		`(project "x" (zorp))`,
-		`(project "x" 5)`,
-		`(project "x" (global))`,
-		`(project "x" (global "quoted" 1))`,
-		`(project "x" (global g (+ 1 2)))`,
-		`(project "x" (global g (numbers 1 3)))`,
-		`(project "x" (sprite))`,
-		`(project "x" (sprite "S" (zorp)))`,
-		`(project "x" (sprite "S" (at 1)))`,
-		`(project "x" (sprite "S" (at "a" "b")))`,
-		`(project "x" (sprite "S" (when bogus (do))))`,
-		`(project "x" (sprite "S" (when (key) (do))))`,
-		`(project "x" (sprite "S" (when (zorp "a") (do))))`,
-		`(project "x" (sprite "S" (when green-flag (+ 1 2))))`,
-		`(project "x" (define (f) reporter 5))`,
-		`(project "x" (define (f) maybe (do)))`,
-		`(project "x" (define f reporter (do)))`,
-		`(project "x") (project "y")`,
-	}
-	for _, src := range bad {
-		if _, err := Project(src); err == nil {
-			t.Errorf("Project(%q) should fail", src)
+	for _, c := range projectErrors {
+		if _, err := Project(c.src); err == nil || err.Error() != c.want {
+			t.Errorf("Project(%.40q) error = %v, want %q", c.src, err, c.want)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package progcache
 
 import (
 	"repro/internal/blocks"
+	"repro/internal/value"
 )
 
 // ProjectEntry is Tier A's cached elaboration outcome for one request
@@ -22,17 +23,31 @@ type ProjectEntry struct {
 	Warnings []string
 }
 
-// projectEntryOverhead is the per-entry byte-budget surcharge covering
-// the AST and bookkeeping beyond the raw finding strings. The parsed
-// tree generally outweighs its source text, so the source is charged
-// at a multiple.
+// An entry is priced at the heap it holds: a fixed overhead, a charge
+// per block, input slot, literal or variable leaf, script and sprite
+// (sizes measured on this repository's projects, see
+// TestProjectCostTracksRetainedHeap), the bytes of every string its AST
+// holds, and its parse error or finding strings. Strings are priced at
+// their length because a body can make any of them as long as itself: a
+// rejected body's error quotes the atom it stopped at, and an XML
+// literal or selector is as long as its attribute.
 const (
 	projectEntryOverhead = 512
-	projectASTFactor     = 3
+	blockCost            = 40  // a blocks.Block
+	inputCost            = 16  // one slot of a block's Inputs
+	leafCost             = 16  // a literal or variable leaf: a boxed text, or an interned small number
+	scriptCost           = 192 // a blocks.Script with its hat and its block list
+	spriteCost           = 256 // a blocks.Sprite with its two maps
 )
 
-func (e *ProjectEntry) cost(srcLen int) int64 {
-	n := int64(projectEntryOverhead) + int64(srcLen)*projectASTFactor
+func (e *ProjectEntry) cost() int64 {
+	n := int64(projectEntryOverhead) + int64(len(e.ParseErr))
+	if e.Project != nil {
+		var z astSize
+		z.project(e.Project)
+		n += int64(z.text) + int64(z.blocks)*blockCost + int64(z.inputs)*inputCost +
+			int64(z.leaves)*leafCost + int64(z.scripts)*scriptCost + int64(z.sprites)*spriteCost
+	}
 	for _, f := range e.Fatal {
 		n += int64(len(f))
 	}
@@ -40,6 +55,107 @@ func (e *ProjectEntry) cost(srcLen int) int64 {
 		n += int64(len(f))
 	}
 	return n
+}
+
+// astSize counts the parts of a project that cost its entry, and the
+// bytes of the strings it holds (text).
+type astSize struct {
+	blocks, inputs, leaves, scripts, sprites, text int
+}
+
+func (z *astSize) project(p *blocks.Project) {
+	z.text += len(p.Name)
+	z.values(p.Globals)
+	z.customs(p.Customs)
+	for _, sp := range p.Sprites {
+		z.sprites++
+		z.text += len(sp.Name)
+		z.values(sp.Variables)
+		z.customs(sp.Customs)
+		for _, hs := range sp.Scripts {
+			z.text += len(hs.Arg)
+			z.script(hs.Script)
+		}
+	}
+}
+
+func (z *astSize) customs(m map[string]*blocks.CustomBlock) {
+	for _, cb := range m {
+		z.text += len(cb.Name)
+		z.names(cb.Params)
+		z.script(cb.Body)
+	}
+}
+
+func (z *astSize) values(m map[string]value.Value) {
+	for name, v := range m {
+		z.text += len(name)
+		z.value(v)
+	}
+}
+
+func (z *astSize) names(names []string) {
+	for _, name := range names {
+		z.text += len(name)
+	}
+}
+
+// value counts a literal, and the items of a list literal: a leaf each,
+// or a float or a string each in a columnar list.
+func (z *astSize) value(v value.Value) {
+	z.leaves++
+	switch x := v.(type) {
+	case value.Text:
+		z.text += len(x)
+	case *value.List:
+		if fs, ok := x.FloatsView(); ok {
+			z.text += 8 * len(fs)
+		} else if ss, ok := x.StringsView(); ok {
+			z.text += 16 * len(ss)
+			z.names(ss)
+		} else {
+			for _, it := range x.Items() {
+				z.value(it)
+			}
+		}
+	}
+}
+
+func (z *astSize) script(s *blocks.Script) {
+	if s == nil {
+		return
+	}
+	z.scripts++
+	for _, b := range s.Blocks {
+		z.node(b)
+	}
+}
+
+func (z *astSize) node(n blocks.Node) {
+	switch x := n.(type) {
+	case *blocks.Block:
+		if x == nil {
+			return
+		}
+		z.blocks++
+		z.text += len(x.Op)
+		z.inputs += len(x.Inputs)
+		for _, in := range x.Inputs {
+			z.node(in)
+		}
+	case blocks.Literal:
+		z.value(x.Val)
+	case blocks.VarGet:
+		z.leaves++
+		z.text += len(x.Name)
+	case blocks.ScriptNode:
+		z.script(x.Script)
+	case *blocks.Script:
+		z.script(x)
+	case blocks.RingNode:
+		z.names(x.Params)
+		z.node(x.Body)
+	}
 }
 
 // Projects is the Tier A cache. A nil *Projects is a valid pass-through:
@@ -71,21 +187,18 @@ func (p *Projects) Get(src, format string, load func() *ProjectEntry) (*ProjectE
 	if p == nil || p.c == nil {
 		return load(), OutcomeMiss
 	}
-	return p.Lookup(hashBody(src, format), func() (*ProjectEntry, int) { return load(), len(src) })
+	return p.Lookup(hashBody(src, format), load)
 }
 
 // Lookup returns the elaboration outcome cached under key, a request's
-// Envelope.Key, running load once per distinct key. load returns the entry
-// and the length of the decoded source it elaborated, which prices the
-// entry.
-func (p *Projects) Lookup(key string, load func() (*ProjectEntry, int)) (*ProjectEntry, Outcome) {
+// Envelope.Key, running load once per distinct key.
+func (p *Projects) Lookup(key string, load func() *ProjectEntry) (*ProjectEntry, Outcome) {
 	if p == nil || p.c == nil {
-		ent, _ := load()
-		return ent, OutcomeMiss
+		return load(), OutcomeMiss
 	}
 	v, out := p.c.get(key, func() (any, int64) {
-		ent, n := load()
-		return ent, ent.cost(n)
+		ent := load()
+		return ent, ent.cost()
 	})
 	return v.(*ProjectEntry), out
 }

@@ -209,8 +209,8 @@ func TestPlacementKeyIsTierAKey(t *testing.T) {
 			}
 			continue
 		}
-		_, out := srv.cache.Lookup(progcache.RequestKey([]byte(tc.body)), func() (*progcache.ProjectEntry, int) {
-			return &progcache.ProjectEntry{ParseErr: "not cached"}, 0
+		_, out := srv.cache.Lookup(progcache.RequestKey([]byte(tc.body)), func() *progcache.ProjectEntry {
+			return &progcache.ProjectEntry{ParseErr: "not cached"}
 		})
 		if out != progcache.OutcomeHit {
 			t.Errorf("%s: Tier A holds the project under another key than the router places it by (status %d)", tc.name, rec.Code)

@@ -360,15 +360,12 @@ func elaborate(src, format string) *progcache.ProjectEntry {
 // otherwise the entry's Project and Warnings are live — and shared with
 // other requests, so callers must treat them as read-only.
 func (s *Server) project(w http.ResponseWriter, q *request) (*progcache.ProjectEntry, bool) {
-	load := func() (*progcache.ProjectEntry, int) {
-		src := q.Project.String()
-		return elaborate(src, q.Format), len(src)
-	}
+	load := func() *progcache.ProjectEntry { return elaborate(q.Project.String(), q.Format) }
 	var ent *progcache.ProjectEntry
 	if s.cache != nil {
 		ent, _ = s.cache.Lookup(q.Key(q.body), load) // the key the router placed it by
 	} else {
-		ent, _ = load()
+		ent = load()
 	}
 	switch {
 	case ent.ParseErr != "":
