@@ -8,12 +8,14 @@ package core
 //	parallelKeep    — the keep (filter) block on the worker pool
 //	parallelCombine — the combine (fold) block as a parallel reduction
 //
-// Both follow the Listing 2 integration exactly: kick the job off, stash
-// it in the context's input array, poll-and-yield (parking on the job
-// while it is unresolved).
+// Both follow the Listing 2 integration exactly, through the one helper
+// every parallel block shares (awaitJob): ship the list, kick the job
+// off, stash it in the context's input array, poll-and-yield (parking on
+// the job while it is unresolved).
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/blocks"
 	"repro/internal/interp"
@@ -40,105 +42,78 @@ func ParallelCombine(list, ring, workersIn blocks.Node) *blocks.Block {
 }
 
 // primParallelKeep maps the predicate across the list on workers, then
-// filters in input order — parallel test, deterministic result.
+// filters in input order — parallel test, deterministic result. The items
+// kept are the input's own, as they stood when the job started.
 func primParallelKeep(p *interp.Process, ctx *interp.Context) (value.Value, interp.Control, error) {
-	const argc = 3
-	var job *workers.Job
-	if len(ctx.Inputs) < argc+1 {
+	return awaitJob(p, ctx, 3, func() (value.Value, *plan, error) {
 		ring, ok := ctx.Inputs[0].(*blocks.Ring)
 		if !ok {
-			return nil, interp.Done, fmt.Errorf("parallelKeep needs a ringed predicate, got %s", ctx.Inputs[0].Kind())
+			return nil, nil, fmt.Errorf("parallelKeep needs a ringed predicate, got %s", ctx.Inputs[0].Kind())
 		}
 		list, err := interp.AsList(ctx.Inputs[1])
 		if err != nil {
-			return nil, interp.Done, err
+			return nil, nil, err
 		}
 		count, err := workerCount(ctx.Inputs[2])
 		if err != nil {
-			return nil, interp.Done, err
+			return nil, nil, err
 		}
-		pool := workers.New(list, workers.Options{MaxWorkers: count})
-		job = pool.MapChunks(RingChunkHandler(ring))
-		cancelOnDeath(p, job)
-		ctx.Inputs = append(ctx.Inputs, &value.Opaque{Tag: "parallelKeepJob", Payload: job})
-	} else {
-		job = ctx.Inputs[argc].(*value.Opaque).Payload.(*workers.Job)
-		if job.Resolved() {
-			verdicts, err := job.Wait()
-			if err != nil {
-				return nil, interp.Done, err
-			}
-			list, err := interp.AsList(ctx.Inputs[1])
-			if err != nil {
-				return nil, interp.Done, err
-			}
-			out := value.NewList()
-			for i := 1; i <= list.Len(); i++ {
-				keep, err := value.ToBool(verdicts.MustItem(i))
-				if err != nil {
-					return nil, interp.Done, fmt.Errorf("predicate did not report a boolean: %w", err)
+		items := slices.Clone(list.Items())
+		return nil, &plan{list: list, workers: count, start: mapJob(RingChunkHandler(ring)),
+			report: func(verdicts *value.List) (value.Value, error) {
+				out := value.NewList()
+				for i, item := range items {
+					keep, err := value.ToBool(verdicts.MustItem(i + 1))
+					if err != nil {
+						return nil, fmt.Errorf("predicate did not report a boolean: %w", err)
+					}
+					if keep {
+						out.Add(item)
+					}
 				}
-				if keep {
-					out.Add(list.MustItem(i))
-				}
-			}
-			return out, interp.Done, nil
-		}
-	}
-	p.ParkOn(job.Done())
-	p.PushYield()
-	return nil, interp.Again, nil
+				return out, nil
+			}}, nil
+	})
 }
 
 // primParallelCombine runs the pool's chunked parallel reduction with the
 // user's binary ring.
 func primParallelCombine(p *interp.Process, ctx *interp.Context) (value.Value, interp.Control, error) {
-	const argc = 3
-	var job *workers.Job
-	if len(ctx.Inputs) < argc+1 {
+	return awaitJob(p, ctx, 3, func() (value.Value, *plan, error) {
 		list, err := interp.AsList(ctx.Inputs[0])
 		if err != nil {
-			return nil, interp.Done, err
+			return nil, nil, err
 		}
 		ring, ok := ctx.Inputs[1].(*blocks.Ring)
 		if !ok {
-			return nil, interp.Done, fmt.Errorf("parallelCombine needs a ringed function, got %s", ctx.Inputs[1].Kind())
+			return nil, nil, fmt.Errorf("parallelCombine needs a ringed function, got %s", ctx.Inputs[1].Kind())
 		}
 		count, err := workerCount(ctx.Inputs[2])
 		if err != nil {
-			return nil, interp.Done, err
+			return nil, nil, err
 		}
 		// The compiled tier when the ring lowers, interp.CallFunction
-		// otherwise; Reduce already clones each operand across the worker
-		// boundary, so the call itself need not.
+		// otherwise; the operands are the job's shipped copy, so the
+		// call itself need not clone them.
 		call := ringCallFunc(ShipRing(ring))
-		reduceFn := func(a, b value.Value) (value.Value, error) {
+		fold := func(a, b value.Value) (value.Value, error) {
 			return call([]value.Value{a, b})
 		}
-		pool := workers.New(list, workers.Options{MaxWorkers: count})
-		job = pool.Reduce(reduceFn)
-		cancelOnDeath(p, job)
-		ctx.Inputs = append(ctx.Inputs, &value.Opaque{Tag: "parallelCombineJob", Payload: job})
-	} else {
-		job = ctx.Inputs[argc].(*value.Opaque).Payload.(*workers.Job)
-		if job.Resolved() {
-			res, err := job.Wait()
-			if err != nil {
-				return nil, interp.Done, err
-			}
-			if res.Len() == 0 {
-				return value.Number(0), interp.Done, nil
-			}
-			v, _ := res.Item(1)
-			if value.IsNothing(v) {
-				// Empty input folds to 0, matching the sequential
-				// combine block.
-				return value.Number(0), interp.Done, nil
-			}
-			return v, interp.Done, nil
-		}
-	}
-	p.ParkOn(job.Done())
-	p.PushYield()
-	return nil, interp.Again, nil
+		return nil, &plan{list: list, workers: count,
+			start: func(data *value.List, opts workers.Options) *workers.Job {
+				return workers.New(data, opts).Reduce(fold)
+			},
+			report: func(res *value.List) (value.Value, error) {
+				if res.Len() == 0 {
+					return value.Number(0), nil
+				}
+				v, _ := res.Item(1)
+				if value.IsNothing(v) {
+					// Empty input folds to 0, matching the sequential
+					// combine block.
+					return value.Number(0), nil
+				}
+				return v, nil
+			}}, nil
+	})
 }

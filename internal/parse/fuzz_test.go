@@ -27,22 +27,27 @@ var (
 		"; just a comment",
 		"(if true (do (say \"hi\")))",
 	}
-	projectSeeds = []string{
+	// validProjectSeeds are the well-formed projects among projectSeeds
+	// (TestValidProjectSeedsParse holds them to it); the rest are
+	// malformed on purpose.
+	validProjectSeeds = []string{
 		`(project "p" (sprite "S" (when green-flag (do (forward 1)))))`,
 		`(project "p" (global n 3) (sprite "S" (at 10 20) (local x 0)
 		   (when green-flag (do (change x 1)))))`,
-		`(project "p" (define (double n) (report (* $n 2)))
-		   (sprite "S" (when green-flag (do (say (double 21))))))`,
-		`(project "p" (sprite "A") (sprite "B" (when key-press "space" (do (forward 1)))))`,
+		`(project "p" (define (double n) reporter (do (report (* $n 2))))
+		   (sprite "S" (when green-flag (do (say (call (lambda (x) (* $x 2)) 21))))))`,
+		`(project "p" (sprite "A") (sprite "B" (when (key "space") (do (forward 1)))))`,
 		`(project "p" (sprite "S" (when green-flag (do
 		   (report (parallelmap (lambda (x) (* $x 2)) (numbers 1 9) 4))))))`,
+	}
+	projectSeeds = append(validProjectSeeds,
 		`(project`,
 		`(project "p" (sprite))`,
 		`(sprite "loose")`,
 		`(project "p" (global))`,
-		strings.Repeat("(", 500) + strings.Repeat(")", 500),
+		strings.Repeat("(", 500)+strings.Repeat(")", 500),
 		"; only a comment",
-	}
+	)
 	scriptSeeds = []string{
 		"(set x 1) (change x 2) (report $x)",
 		"(declare a b) (set a (list)) (add 1 $a)",
@@ -101,6 +106,17 @@ func FuzzProject(f *testing.F) {
 		m.StopAll()
 		m.Step()
 	})
+}
+
+// TestValidProjectSeedsParse pins that FuzzProject starts from the
+// well-formed projects it means to: a seed the reader rejects leaves the
+// fuzzer without the construct it was written for.
+func TestValidProjectSeedsParse(t *testing.T) {
+	for _, src := range validProjectSeeds {
+		if _, err := Project(src); err != nil {
+			t.Errorf("seed %q: %v", src, err)
+		}
+	}
 }
 
 // TestDeepNestingIsAnErrorNotACrash pins the maxNesting guard: megabytes

@@ -83,9 +83,31 @@ func TestWaitingSpendsNoBudget(t *testing.T) {
 	}
 }
 
+// busySrcs are the four parallel blocks, each given seconds of work: every
+// element folds a 2000-number list inside the shipped ring, and there are
+// 20000 elements. span is the kind of trace span the block's job records.
+var busySrcs = []struct{ name, span, src string }{
+	{"parallelmap", "parallel.map", parallelSrc},
+	{"parallelkeep", "parallel.map", busyProject(`(parallelkeep
+		(lambda (x) (< (combine (numbers 1 2000) (lambda (a b) (+ $a $b))) 0))
+		(numbers 1 20000) 4)`)},
+	{"parallelcombine", "parallel.reduce", busyProject(`(parallelcombine (numbers 1 20000)
+		(lambda (a b) (+ $a (combine (numbers 1 2000) (lambda (c d) (+ $c $d)))))
+		4)`)},
+	{"mapreduce", "mapReduce", busyProject(`(mapreduce
+		(lambda (x) (combine (numbers 1 2000) (lambda (a b) (+ $a $b))))
+		(ring (length _))
+		(numbers 1 20000))`)},
+}
+
+func busyProject(expr string) string {
+	return `(project "busy" (sprite "S" (when green-flag (do (report ` + expr + `)))))`
+}
+
 // TestParkedSessionHonoursDeadline pins that a session parked on a slow
-// parallelMap still dies on its deadline, promptly, and takes its worker
-// job down with it.
+// parallel block still dies on its deadline, promptly, and takes its
+// worker job down with it: the job's span, found under the session's
+// trace ID, ends canceled.
 func TestParkedSessionHonoursDeadline(t *testing.T) {
 	obs.SetEnabled(true)
 	defer obs.SetEnabled(false)
@@ -93,38 +115,42 @@ func TestParkedSessionHonoursDeadline(t *testing.T) {
 
 	mgr := NewManager(Config{})
 	const deadline = 50 * time.Millisecond
-	start := time.Now()
-	s, err := mgr.RunTraced(context.Background(), mustProject(t, parallelSrc), Limits{Timeout: deadline}, "parked-deadline")
-	if err != nil {
-		t.Fatal(err)
-	}
-	elapsed := time.Since(start)
-	res, _ := s.Result()
-	if res.Status != StatusTimeout {
-		t.Fatalf("status = %s (%s), want timeout", res.Status, res.Error)
-	}
-	if elapsed > 5*deadline {
-		t.Fatalf("%v-deadline session took %v", deadline, elapsed)
-	}
-	if n := mgr.Stats().Running; n != 0 {
-		t.Fatalf("Running = %d after the session ended", n)
-	}
-	// The canceled job resolves once its executors notice, between
-	// elements.
-	for end := time.Now().Add(3 * time.Second); ; {
-		if jobCanceled(s.TraceID()) {
-			return
-		}
-		if time.Now().After(end) {
-			t.Fatalf("no canceled parallel.map span under %s", s.TraceID())
-		}
-		time.Sleep(5 * time.Millisecond)
+	for _, tc := range busySrcs {
+		t.Run(tc.name, func(t *testing.T) {
+			start := time.Now()
+			s, err := mgr.RunTraced(context.Background(), mustProject(t, tc.src), Limits{Timeout: deadline}, "parked-deadline-"+tc.name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			elapsed := time.Since(start)
+			res, _ := s.Result()
+			if res.Status != StatusTimeout {
+				t.Fatalf("status = %s (%s), want timeout", res.Status, res.Error)
+			}
+			if elapsed > 5*deadline {
+				t.Fatalf("%v-deadline session took %v", deadline, elapsed)
+			}
+			if n := mgr.Stats().Running; n != 0 {
+				t.Fatalf("Running = %d after the session ended", n)
+			}
+			// The canceled job resolves once its executors notice,
+			// between elements or chunks.
+			for end := time.Now().Add(3 * time.Second); ; {
+				if jobCanceled(s.TraceID(), tc.span) {
+					return
+				}
+				if time.Now().After(end) {
+					t.Fatalf("no canceled %s span under %s", tc.span, s.TraceID())
+				}
+				time.Sleep(5 * time.Millisecond)
+			}
+		})
 	}
 }
 
-func jobCanceled(id string) bool {
+func jobCanceled(id, kind string) bool {
 	for _, sp := range obs.SpansFor(id) {
-		if sp.Kind == "parallel.map" && slices.Contains(sp.Attrs, obs.Attr{Key: "status", Val: "canceled"}) {
+		if sp.Kind == kind && slices.Contains(sp.Attrs, obs.Attr{Key: "status", Val: "canceled"}) {
 			return true
 		}
 	}

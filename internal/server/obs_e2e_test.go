@@ -202,3 +202,22 @@ func TestPprofGatedByConfig(t *testing.T) {
 		t.Errorf("pprof on: /debug/pprof/cmdline status %d, want 200", resp.StatusCode)
 	}
 }
+
+// TestServedSessionsRunOnTheBytecodeMachine pins that the daemon links the
+// bytecode machine: nothing in this package imports internal/vm, so only
+// the serving path's own dependencies install its spawn hook, and a
+// served counting loop must still execute VM ops.
+func TestServedSessionsRunOnTheBytecodeMachine(t *testing.T) {
+	enableObs(t)
+	ts := newTestServer(t, Config{})
+	before := obs.VMOps.Value()
+	resp, body := postJSON(t, ts.URL+"/v1/run", RunRequest{Project: `
+		(project "counting" (sprite "S" (local x 0)
+		  (when green-flag (do (repeat 50 (do (change x 1))) (say $x)))))`})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("run: status %d, body %s", resp.StatusCode, body)
+	}
+	if obs.VMOps.Value() == before {
+		t.Fatal("a served loop executed no bytecode ops: the VM is not linked into the serving path")
+	}
+}

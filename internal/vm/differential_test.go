@@ -288,8 +288,8 @@ func TestDifferentialErrors(t *testing.T) {
 
 // TestDifferentialMapReduceAsyncValue pins the async (polled) mapReduce
 // path's value: an input past the sync threshold runs on worker goroutines
-// while the bytecode loop spins opMRPoll, and the sorted result must match
-// the tree primitive's byte for byte.
+// while the bytecode loop's tree splice polls the job, and the sorted
+// result must match the tree primitive's byte for byte.
 func TestDifferentialMapReduceAsyncValue(t *testing.T) {
 	script := rep(blocks.MapReduce(
 		blocks.RingOf(blocks.ListOf(

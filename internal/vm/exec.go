@@ -17,10 +17,9 @@ type ctrlEntry struct {
 	args    [2]value.Value // hof call arguments; args[0] doubles as combine's accumulator
 	name    string
 	idx     int
-	rem     int                               // doWait timesteps left
-	poll    func() (value.Value, bool, error) // opMRPoll in-flight engine job
-	n       float64                           // doRepeat remaining count
-	i, to   float64                           // doFor bounds
+	rem     int     // doWait timesteps left
+	n       float64 // doRepeat remaining count
+	i, to   float64 // doFor bounds
 	step    float64
 	nargs   int
 	started bool
@@ -501,38 +500,6 @@ func (r *run) exec1(p *interp.Process, op Op) error {
 		p.BeginSplice(r.prog.Nodes[op.A], r.frame)
 		r.splicing = true
 		r.spliceDiscard = op.B == 1
-
-	case opMRBegin:
-		v, poll, err := r.prog.MRCalls[op.A](p, r.pop())
-		if err != nil {
-			// The tree evaluator prefixes primitive failures with the
-			// block op; match its words exactly.
-			return wrap("reportMapReduce", err)
-		}
-		if poll == nil {
-			r.push(v)
-			r.pc = int(op.B)
-		} else {
-			r.ctrl = append(r.ctrl, ctrlEntry{poll: poll})
-		}
-
-	case opMRPoll:
-		c := &r.ctrl[len(r.ctrl)-1]
-		v, resolved, err := c.poll()
-		if err != nil {
-			r.ctrl = r.ctrl[:len(r.ctrl)-1]
-			return wrap("reportMapReduce", err)
-		}
-		if resolved {
-			r.ctrl = r.ctrl[:len(r.ctrl)-1]
-			r.push(v)
-			r.pc = int(op.A)
-		} else {
-			// The poll parked the process on the job. One poll per
-			// scheduler round, like the tree primitive's PushYield/Again
-			// loop (the Step loop honors warp).
-			p.RequestYield()
-		}
 
 	default:
 		return fmt.Errorf("vm: invalid opcode %d", op.Code)

@@ -88,9 +88,9 @@ func TestVMKillMidLoop(t *testing.T) {
 }
 
 // TestVMKillDuringAsyncMapReduce spawns a mapReduce big enough for the
-// polled engine path, steps once so the bytecode loop is parked on
-// opMRPoll, then kills the machine. The worker goroutines must be
-// abandoned cleanly: no hang, no touch of the dead process.
+// polled engine path, steps once so the bytecode loop's tree splice is
+// parked on the block's worker job, then kills the machine. The job must
+// be canceled cleanly: no hang, no touch of the dead process.
 func TestVMKillDuringAsyncMapReduce(t *testing.T) {
 	vm.SetEnabled(true)
 	pr := blocks.NewProject("vm-governance")
@@ -106,7 +106,7 @@ func TestVMKillDuringAsyncMapReduce(t *testing.T) {
 	if procs := m.GreenFlag(); len(procs) != 1 {
 		t.Fatalf("GreenFlag started %d processes, want 1", len(procs))
 	}
-	m.Step() // job started; the process yielded from opMRPoll (or finished)
+	m.Step() // job started; the process parked on it (or finished)
 	m.Kill()
 	if m.Step() {
 		t.Fatal("machine still stepping after Kill")

@@ -40,7 +40,7 @@ type lowerMark struct {
 	ctrlH                int32
 	native, tree         int
 	consts, names, rings int
-	scripts, metas, mrs  int
+	scripts, metas       int
 	cursors              []int32
 }
 
@@ -50,7 +50,7 @@ func (l *lowerer) mark() lowerMark {
 		ctrlH: l.ctrlH, native: l.p.NativeStmts, tree: l.p.TreeStmts,
 		consts: len(l.p.Consts), names: len(l.p.Names),
 		rings: len(l.p.RingTemplates), scripts: len(l.p.Scripts),
-		metas: len(l.p.Metas), mrs: len(l.p.MRCalls),
+		metas: len(l.p.Metas),
 	}
 	for _, s := range l.hofs {
 		m.cursors = append(m.cursors, s.cursor)
@@ -66,7 +66,6 @@ func (l *lowerer) restore(m lowerMark) {
 	l.p.RingTemplates = l.p.RingTemplates[:m.rings]
 	l.p.Scripts = l.p.Scripts[:m.scripts]
 	l.p.Metas = l.p.Metas[:m.metas]
-	l.p.MRCalls = l.p.MRCalls[:m.mrs]
 	l.p.NativeStmts = m.native
 	l.p.TreeStmts = m.tree
 	l.hofs = l.hofs[:m.hofs]
@@ -673,62 +672,7 @@ func (l *lowerer) exprBlock(b *blocks.Block) error {
 		}
 		return l.fallbackExpr(b)
 	}
-	if b.Op == "reportMapReduce" {
-		if err := l.tryMapReduce(b); err == nil {
-			return nil
-		}
-		return l.fallbackExpr(b)
-	}
 	return l.fallbackExpr(b)
-}
-
-// tryMapReduce lowers a mapReduce call whose map and reduce rings are
-// literal. The engine adapter is built once at lower time — compiling the
-// ring kernels through the compile tier — so at run time the op pops the
-// evaluated input list and dispatches straight into the engine: no tree
-// splice, no per-evaluation ring hashing or cache lookup. Dynamic ring
-// inputs (variables, expressions, non-rings) fall back to the tree so the
-// primitive's evaluation order and type errors stay exact.
-func (l *lowerer) tryMapReduce(b *blocks.Block) error {
-	if mapReduceHook == nil || len(b.Inputs) != 3 {
-		return errRefuse
-	}
-	mr, ok := b.Input(0).(blocks.RingNode)
-	if !ok {
-		return errRefuse
-	}
-	rr, ok := b.Input(1).(blocks.RingNode)
-	if !ok {
-		return errRefuse
-	}
-	m := l.mark()
-	if err := l.expr(b.Input(2)); err != nil {
-		l.restore(m)
-		return errRefuse
-	}
-	// A constant input list needs no defensive per-evaluation clone here:
-	// the engine clones every item crossing the map boundary (and the
-	// async path clones the whole list), and nothing it returns aliases
-	// the input, so the shared constant can be pushed as-is.
-	if n := len(l.p.Ops); l.p.Ops[n-1].Code == opConstList {
-		l.p.Ops[n-1].Code = opConst
-	}
-	// The same shipped shape ShipRing builds from the evaluated ring
-	// value: body and params, no captured environment.
-	call := mapReduceHook(
-		&blocks.Ring{Body: mr.Body, Params: mr.Params},
-		&blocks.Ring{Body: rr.Body, Params: rr.Params})
-	l.p.MRCalls = append(l.p.MRCalls, call)
-	begin := l.emit(Op{Code: opMRBegin, A: int32(len(l.p.MRCalls) - 1)})
-	l.ctrlH++
-	loop := l.here()
-	poll := l.emit(Op{Code: opMRPoll})
-	l.emit(Op{Code: opJump, A: loop})
-	l.ctrlH--
-	end := l.here()
-	l.patch(poll, end)
-	l.p.Ops[begin].B = end
-	return nil
 }
 
 // implicitSlot resolves an empty slot against the static hof scope stack,

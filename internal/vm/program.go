@@ -84,15 +84,6 @@ const (
 	// Fallback: evaluate Nodes[A] through the tree-walker in the current
 	// frame; B==1 discards the value (statement position).
 	opCallTree
-
-	// Engine dispatch: a mapReduce call whose rings are literal, adapted
-	// once at lower time (see SetMapReduceLowerer). Begin pops the input
-	// list and either completes synchronously (small input: push result,
-	// jump A) or starts the engine on worker goroutines and pushes a
-	// polling ctrl entry; Poll checks the in-flight job, yielding between
-	// rounds exactly like the tree primitive's Again loop.
-	opMRBegin // pop list; MRCalls[A]; sync -> push v, jump B
-	opMRPoll  // resolved -> pop ctrl, push v, jump A; else yield
 )
 
 // Op is one instruction.
@@ -117,36 +108,12 @@ type Program struct {
 	RingTemplates []blocks.RingNode // opMakeRing
 	Scripts       []*blocks.Script  // opMakeScrip
 	Metas         []ringMeta
-	MRCalls       []MRCall // opMRBegin engine adapters
 
 	// NativeStmts counts statements lowered to bytecode; TreeStmts counts
 	// statements spliced whole through the tree-walker. A program with no
 	// native statements is not worth installing.
 	NativeStmts int
 	TreeStmts   int
-}
-
-// MRCall dispatches one lowered mapReduce site over an evaluated input.
-// It returns either a synchronous result (poll nil), or a poll function
-// for an engine job started on worker goroutines: poll reports
-// (result, resolved, error) and is invoked once per scheduler round. err
-// carries the input type error, with the exact text the tree primitive
-// produces.
-type MRCall func(p *interp.Process, list value.Value) (v value.Value, poll func() (value.Value, bool, error), err error)
-
-// mapReduceHook adapts a pair of literal, shipped rings to an engine
-// dispatch at lower time — installed by the core package (the engine
-// adapters live above this one in the dependency order), nil until then.
-// Precompiling the ring kernels once per lowered program is what lets a
-// cached program skip the per-evaluation ring hashing and compile-tier
-// lookup the tree primitive pays.
-var mapReduceHook func(mapRing, reduceRing *blocks.Ring) MRCall
-
-// SetMapReduceLowerer installs the mapReduce engine adapter used by the
-// lowering pass. Lowered programs capture the adapter's closures, so it
-// must be installed once at init time, before any script is lowered.
-func SetMapReduceLowerer(h func(mapRing, reduceRing *blocks.Ring) MRCall) {
-	mapReduceHook = h
 }
 
 // SwapBinaryOps builds a program mutator that rewrites every lowered

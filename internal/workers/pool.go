@@ -49,7 +49,7 @@ type Options struct {
 	MaxWorkers int
 	// Assignment picks the element-assignment policy; default Dynamic.
 	Assignment Assignment
-	// NoClone disables the structured clone at the worker boundary.
+	// NoClone disables Map's structured clone at the worker boundary.
 	// Real Web Workers cannot do this; the option exists only for the
 	// clone-cost ablation bench and must stay off elsewhere.
 	NoClone bool
@@ -170,6 +170,26 @@ func (j *Job) WorkerCosts() []int64 {
 		out[i] = atomic.LoadInt64(&j.costs[i])
 	}
 	return out
+}
+
+// Go runs fn on a goroutine of its own as a Job: work that drives the
+// shared pool itself (the mapReduce engine's phases) gets the same
+// resolve, park and cancel surface as a pool operation. fn should poll
+// j.Canceled between units of work and return ErrCanceled once it is set;
+// a panic in fn fails the job, as a thrown exception in a worker does.
+func Go(fn func(j *Job) (*value.List, error)) *Job {
+	job := newJob(0)
+	go func() { job.finish(safeGo(fn, job)) }()
+	return job
+}
+
+func safeGo(fn func(j *Job) (*value.List, error), j *Job) (res *value.List, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("worker script error: %v", r)
+		}
+	}()
+	return fn(j)
 }
 
 func (j *Job) finish(result *value.List, err error) {
@@ -506,7 +526,9 @@ type ReduceFunc func(a, b value.Value) (value.Value, error)
 // Reduce folds the pool's data with fn: each worker folds a contiguous
 // chunk on the persistent SharedPool, then the last worker to finish folds
 // the partials left-to-right and resolves the job. The empty list resolves
-// to Nothing.
+// to Nothing. The operands are the data's own elements, not clones: the
+// caller ships the pool a list private to the job, as the parallel blocks
+// do.
 func (p *Parallel) Reduce(fn ReduceFunc) *Job {
 	n := p.data.Len()
 	w := p.opts.MaxWorkers
@@ -528,7 +550,6 @@ func (p *Parallel) Reduce(fn ReduceFunc) *Job {
 		obs.PoolJobs.With("reduce").Inc()
 	}
 	items := p.data.Items()
-	clone := !p.opts.NoClone
 
 	partials := make([]value.Value, w)
 	errs := make([]error, w)
@@ -597,20 +618,13 @@ func (p *Parallel) Reduce(fn ReduceFunc) *Job {
 				}()
 			}
 			acc := items[lo]
-			if clone {
-				acc = safeClone(acc)
-			}
 			atomic.AddInt64(&job.loads[worker], 1)
 			for i := lo + 1; i < hi; i++ {
 				if job.canceled.Load() {
 					errs[worker] = ErrCanceled
 					return
 				}
-				in := items[i]
-				if clone {
-					in = safeClone(in)
-				}
-				out, err := runReduce(fn, acc, in)
+				out, err := runReduce(fn, acc, items[i])
 				if err != nil {
 					errs[worker] = err
 					return

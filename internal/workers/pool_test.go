@@ -217,3 +217,29 @@ func TestMapReportsLowestFailingElement(t *testing.T) {
 		}
 	}
 }
+
+// TestGoResolvesLikeAPoolJob pins workers.Go: fn's result and error
+// resolve the job, fn sees the job's cancel flag, and a panic fails the
+// job instead of the process.
+func TestGoResolvesLikeAPoolJob(t *testing.T) {
+	res, err := Go(func(j *Job) (*value.List, error) { return value.FromInts([]int{1, 2}), nil }).Wait()
+	if err != nil || res.String() != "[1 2]" {
+		t.Fatalf("Go = %v, %v", res, err)
+	}
+	release := make(chan struct{})
+	job := Go(func(j *Job) (*value.List, error) {
+		<-release
+		if j.Canceled() {
+			return nil, ErrCanceled
+		}
+		return value.NewList(), nil
+	})
+	job.Cancel()
+	close(release)
+	if _, err := job.Wait(); err != ErrCanceled {
+		t.Fatalf("canceled Go job: err = %v, want ErrCanceled", err)
+	}
+	if _, err := Go(func(j *Job) (*value.List, error) { panic("kaboom") }).Wait(); err == nil || err.Error() != "worker script error: kaboom" {
+		t.Fatalf("panicking Go job: err = %v", err)
+	}
+}

@@ -7,9 +7,11 @@
 // independently from other workers and independently from the
 // user-interface thread." Here the threads are the persistent goroutines
 // of the SharedPool, and the unit of isolation is the boundary every
-// element crosses: each input is structured-cloned into the handler and
-// each result cloned back out, as postMessage does, and a handler that
-// panics fails its job with an error, as a worker reports through onerror.
+// element crosses: each input arrives as a structured clone (Map clones
+// each element; callers of MapChunks and Reduce ship the pool a private
+// copy of their list) and each result is cloned back out, as postMessage
+// does, and a handler that panics fails its job with an error, as a worker
+// reports through onerror.
 // Cloning rather than process isolation preserves the observable
 // semantics.
 package workers
