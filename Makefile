@@ -27,11 +27,16 @@ race:
 # inter-test ordering dependencies can't hide, repeat the router's
 # failover and forwarder tests so the race between a backend closing a
 # pooled connection and the router writing to it keeps getting
-# exercised, and repeat the parallel-block tests where a session dies
-# under its running job (which must end canceled), where a script
+# exercised (with the fresh connection reset before any reply, which
+# must fail over), and repeat the parallel-block tests where a session
+# dies under its running job (which must end canceled), where a script
 # mutates the list another script's job was started on (which the job
 # must never read), and where a ring mutates an argument that another
-# item of its list aliases (which no other worker may see).
+# item of its list aliases (which no other worker may see), together
+# with the chunk-loop contract every parallel job shares (the workers
+# and mapreduce TestChunkContract legs: lowest failure reported, cancel
+# stops claims, an element's error outranks a cancel) and the MapReduce
+# engine's cancel test (TestRunStopsClaimingOnceCanceled).
 # Those parallel-block tests get a line of their own: their busy workers
 # would load the host under the timing-sensitive router tests.
 # Then give the five differential fuzzers — compiled-vs-interpreted
@@ -48,8 +53,9 @@ check:
 		./internal/runtime/... ./internal/server/... ./internal/obs/... \
 		./internal/shard/... ./internal/evo/... ./internal/value/... \
 		./internal/ingest/... ./internal/blocks/...
-	$(GO) test -race -count=10 -run 'E2EFailover|KillDuringTraffic|IdleClose|LongReplyRelayed|ClientGoneMidForward|ConnectionCloseNotReused|ClientBytesNeverReachTheWire' ./internal/shard
-	$(GO) test -race -count=10 -run 'ParkedSessionHonoursDeadline|ParallelBlocksShipTheirList|ParallelBlocksShipEachItemApart' ./internal/runtime
+	$(GO) test -race -count=10 -run 'E2EFailover|KillDuringTraffic|IdleClose|LongReplyRelayed|ClientGoneMidForward|ConnectionCloseNotReused|ClientBytesNeverReachTheWire|FreshResetBeforeRead' ./internal/shard
+	$(GO) test -race -count=10 -run 'ParkedSessionHonoursDeadline|ParallelBlocksShipTheirList|ParallelBlocksShipEachItemApart|ChunkContract|RunStopsClaimingOnceCanceled' \
+		./internal/runtime ./internal/workers ./internal/mapreduce
 	$(GO) test -run '^$$' -fuzz FuzzCompileRing -fuzztime 5s ./internal/compile/
 	$(GO) test -run '^$$' -fuzz FuzzLowerProject -fuzztime 5s ./internal/vm/
 	$(GO) test -run '^$$' -fuzz FuzzRequestEnvelope -fuzztime 5s ./internal/server/

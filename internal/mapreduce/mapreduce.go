@@ -13,7 +13,6 @@ import (
 	"slices"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -435,76 +434,37 @@ func phaseGrain(n, w int) int {
 	return min(max(n/(w*4), 1), 64)
 }
 
-// runPhase executes s.run(i) for i in [0, n) across w executors on the
-// persistent worker pool, each claiming grain-sized chunks off a shared
-// counter. It returns the error of the lowest failing record: chunks are
-// claimed in order and a failing chunk stops at its first failure, so the
-// lowest failing chunk holds it, and the wording is the same at any w.
-// When canceled is set, every executor polls it before each grain-sized
-// chunk and stops once it reports true; the phase then fails with
-// workers.ErrCanceled unless a record failed first.
+// runPhase executes s.run(i) for i in [0, n) across w executors of the
+// worker pool's chunk loop (workers.RunChunks), each claiming grain-sized
+// chunks off a shared counter. It returns the error of the lowest failing
+// record, so the wording is the same at any w. When canceled is set, it
+// is polled before each grain-sized chunk; once it reports true the phase
+// stops claiming and fails with workers.ErrCanceled unless a record
+// failed first.
 func runPhase(n, w int, canceled func() bool, kernel string, s step) error {
 	w = min(w, n)
-	if w <= 1 {
-		// One executor needs no pool dispatch, shared counter, or
-		// WaitGroup: it runs on the calling goroutine, in one chunk
-		// unless it has a cancel flag to poll between chunks.
-		grain := n
-		if canceled != nil {
-			grain = phaseGrain(n, 1)
-		}
-		for lo := 0; lo < n; lo += grain {
-			if canceled != nil && canceled() {
-				return workers.ErrCanceled
-			}
-			if err := runChunk(s, kernel, lo, min(lo+grain, n)); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	grain := phaseGrain(n, w)
-	type chunkErr struct {
-		lo  int
-		err error
-	}
-	errs := make([]chunkErr, w)
-	var next atomic.Int64
-	var stopped atomic.Bool
-	var wg sync.WaitGroup
-	pool := workers.SharedPool()
-	wg.Add(w)
-	for k := 0; k < w; k++ {
-		worker := k
-		pool.Submit(func() {
-			defer wg.Done()
-			for {
-				if canceled != nil && canceled() {
-					stopped.Store(true)
-					return
-				}
-				lo := int(next.Add(int64(grain))) - grain
-				if lo >= n {
-					return
-				}
-				if err := runChunk(s, kernel, lo, min(lo+grain, n)); err != nil {
-					errs[worker] = chunkErr{lo, err}
-					return
-				}
-			}
+	if w > 1 {
+		return workers.RunChunks(n, w, phaseGrain(n, w), canceled, func(_, lo, hi int) error {
+			return runChunk(s, kernel, lo, hi)
 		})
 	}
-	wg.Wait()
-	first := chunkErr{lo: n}
-	for _, e := range errs {
-		if e.err != nil && e.lo < first.lo {
-			first = e
+	// One executor needs no pool dispatch: it runs on the calling
+	// goroutine — the interpreter thread, for the mapReduce block's
+	// small inputs — in one chunk unless it has a cancel flag to poll
+	// between chunks.
+	grain := n
+	if canceled != nil {
+		grain = phaseGrain(n, 1)
+	}
+	for lo := 0; lo < n; lo += grain {
+		if canceled != nil && canceled() {
+			return workers.ErrCanceled
+		}
+		if err := runChunk(s, kernel, lo, min(lo+grain, n)); err != nil {
+			return err
 		}
 	}
-	if first.err == nil && stopped.Load() {
-		return workers.ErrCanceled
-	}
-	return first.err
+	return nil
 }
 
 // runChunk runs s over [lo, hi). One deferred recover contains the

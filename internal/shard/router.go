@@ -331,26 +331,38 @@ func (at *attemptTrace) unsent(err error) bool {
 
 // unsent reports whether a failed attempt provably never reached a
 // handler on the backend — the only failure a non-idempotent request
-// may replay elsewhere. Two cases qualify, both before any response
-// byte (gotByte): the request's headers never left (wrote; dial errors
-// included), or they went out on a reused keep-alive connection and the
-// peer hung up without answering. A Go http.Server closes a connection
-// it is serving only after answering, so that hang-up is the backend
-// closing an idle connection it never read from, or its process exiting
-// with the run dying with it.
+// may replay elsewhere. Three cases qualify, all before any response
+// byte (gotByte):
+//   - the request's headers never left (wrote; dial errors included);
+//   - they went out on a reused keep-alive connection and the peer hung
+//     up without answering. A Go http.Server closes a connection it is
+//     serving only after answering, so that hang-up is the backend
+//     closing an idle connection it never read from, or its process
+//     exiting with the run dying with it;
+//   - the peer reset the connection. A connection closed with the
+//     request still unread in its receive buffer resets, as does a dial
+//     still waiting in the accept backlog of a listener that closes. A
+//     handler that read the request and aborted closes cleanly instead,
+//     so on a fresh connection an end of stream is not unsent.
 func unsent(reused, wrote, gotByte bool, err error) bool {
 	if gotByte {
 		return false
 	}
-	return !wrote || reused && peerHungUp(err)
+	return !wrote || peerReset(err) || reused && peerHungUp(err)
+}
+
+// peerReset reports a connection the backend reset, which a write meets
+// as EPIPE.
+func peerReset(err error) bool {
+	return errors.Is(err, syscall.ECONNRESET) || errors.Is(err, syscall.EPIPE)
 }
 
 // peerHungUp reports the errors a connection ends with when the backend
-// closed it: end of stream, or a reset (which a write meets as EPIPE).
-// "server closed idle connection" is the transport's own name for an end
-// of stream on a pooled connection; it is not exported.
+// closed it: end of stream, or a reset. "server closed idle connection"
+// is the transport's own name for an end of stream on a pooled
+// connection; it is not exported.
 func peerHungUp(err error) bool {
-	return errors.Is(err, io.EOF) || errors.Is(err, syscall.ECONNRESET) || errors.Is(err, syscall.EPIPE) ||
+	return errors.Is(err, io.EOF) || peerReset(err) ||
 		strings.Contains(err.Error(), "server closed idle connection")
 }
 

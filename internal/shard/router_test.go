@@ -512,6 +512,64 @@ func TestIdleCloseAfterPartialAnswerIs502(t *testing.T) {
 	}
 }
 
+// TestFreshResetBeforeReadFailsOver: a backend that resets a fresh
+// connection before reading the request on it — as Linux does to a dial
+// still waiting in the accept backlog of a listener that closes — never
+// served that request, so the router replays it on the next ring
+// preference.
+func TestFreshResetBeforeReadFailsOver(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var accepts atomic.Int64
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			accepts.Add(1)
+			conn.(*net.TCPConn).SetLinger(0) //nolint:errcheck // the close below resets either way on loopback
+			conn.Close()
+		}
+	}()
+	t.Cleanup(func() {
+		ln.Close()
+		<-done
+	})
+	spare := newStubBackend(t)
+	spare.mux.HandleFunc("POST /v1/run", func(w http.ResponseWriter, r *http.Request) {
+		fmt.Fprint(w, `{"id":"s-spare","status":"ok"}`)
+	})
+	rt := newTestRouter(t, Config{
+		Backends:       []string{"http://" + ln.Addr().String(), spare.ts.URL},
+		HealthInterval: time.Hour,
+	})
+	var body string
+	for i := 0; ; i++ {
+		body = fmt.Sprintf(`{"project":"(p%d)"}`, i)
+		if rt.Ring().Prefer(placementKey([]byte(body)))[0] == 0 {
+			break
+		}
+	}
+	rec := postRun(t, rt.Handler(), body, nil)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status = %d (%s), want 200 from the spare", rec.Code, rec.Body.String())
+	}
+	if n := spare.hitCount("/v1/run"); n != 1 {
+		t.Errorf("spare served %d requests, want 1", n)
+	}
+	if n := accepts.Load(); n < 1 {
+		t.Errorf("the resetting backend accepted %d connections, want the forward's", n)
+	}
+	if st := rt.Stats(); st.Retries != 1 {
+		t.Errorf("retries = %d, want 1", st.Retries)
+	}
+}
+
 // TestUnsentPredicate pins the retry rule case by case, including the
 // orders of events a loopback backend cannot be made to produce on cue
 // (a reset after a response byte reads as an unexpected EOF there).
@@ -525,6 +583,8 @@ func TestUnsentPredicate(t *testing.T) {
 	}{
 		{"dial error", false, false, false, &net.OpError{Op: "dial", Err: syscall.ECONNREFUSED}, true},
 		{"fresh conn, EOF after headers", false, true, false, io.EOF, false},
+		{"fresh conn, reset after headers", false, true, false, reset, true},
+		{"fresh conn, reset after a response byte", false, true, true, reset, false},
 		{"reused conn, EOF after headers", true, true, false, io.EOF, true},
 		{"reused conn, reset after headers", true, true, false, reset, true},
 		{"reused conn, reset after a response byte", true, true, true, reset, false},

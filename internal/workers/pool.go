@@ -108,8 +108,6 @@ type Job struct {
 
 	loads []int64 // elements processed per worker, for E10
 	costs []int64 // virtual cost processed per worker, for E10
-
-	chunks atomic.Int64 // chunks run, counted only while obs is enabled
 }
 
 func newJob(workers int) *Job {
@@ -277,21 +275,16 @@ func (p *Parallel) Map(fn Handler) *Job {
 }
 
 // MapChunks is the chunk-level map primitive behind Map. The work runs on
-// the persistent SharedPool: one executor per requested worker, each
-// claiming chunks in grain-sized slices off a shared atomic counter
-// (Dynamic) or by its static schedule (Block gets one contiguous chunk per
-// worker, Interleaved degenerates to single-element chunks). The last
-// executor to finish resolves the job, so an operation costs zero goroutine
-// spawns when the pool has idle workers.
+// the persistent SharedPool through the one chunk loop (chunkLoop): one
+// executor per requested worker, each claiming chunks in grain-sized
+// slices off a shared atomic counter (Dynamic) or by its static schedule
+// (Block gets one contiguous chunk per worker, Interleaved degenerates to
+// single-element chunks). The last executor to finish resolves the job,
+// so an operation costs zero goroutine spawns when the pool has idle
+// workers.
 func (p *Parallel) MapChunks(fn ChunkHandler) *Job {
 	n := p.data.Len()
-	w := p.opts.MaxWorkers
-	if w > n && n > 0 {
-		w = n
-	}
-	if w < 1 {
-		w = 1
-	}
+	w := clampWorkers(p.opts.MaxWorkers, n)
 	job := newJob(w)
 	if n == 0 {
 		// Nothing to map: resolve synchronously with an empty result
@@ -301,8 +294,7 @@ func (p *Parallel) MapChunks(fn ChunkHandler) *Job {
 	}
 	// tracing gates every instrumented site in this operation on one
 	// atomic load taken up front, so the disabled path costs a branch and
-	// zero allocations, and one job's metrics are internally consistent
-	// even if the switch flips mid-flight.
+	// zero allocations.
 	tracing := obs.Enabled()
 	var jobStart time.Time
 	if tracing {
@@ -311,40 +303,14 @@ func (p *Parallel) MapChunks(fn ChunkHandler) *Job {
 	}
 	items := p.data.Items()
 	results := make([]value.Value, n)
-	// fail keeps the error of the lowest failing chunk. Chunks are
-	// disjoint, a failing chunk stops at its first failing element, and
-	// every chunk below a claimed one was claimed too, so the job reports
-	// its lowest failing element whatever the worker count or timing.
-	var fail struct {
-		sync.Mutex
-		lo  int
-		err error
-	}
-
-	// runChunk hands [lo,hi) to the handler; true means keep claiming.
-	runChunk := func(worker, lo, hi int) bool {
-		if job.canceled.Load() {
-			return false
-		}
-		var err error
-		if tracing {
-			chunkStart := time.Now()
-			err = safeChunk(fn, job, lo, results[lo:hi], items[lo:hi])
-			obs.PoolChunkSeconds.Observe(time.Since(chunkStart).Seconds())
-			obs.PoolChunks.Inc()
-			job.chunks.Add(1)
-		} else {
-			err = safeChunk(fn, job, lo, results[lo:hi], items[lo:hi])
-		}
-		if err != nil {
-			if !errors.Is(err, ErrCanceled) {
-				fail.Lock()
-				if fail.err == nil || lo < fail.lo {
-					fail.lo, fail.err = lo, err
-				}
-				fail.Unlock()
+	l := &chunkLoop{n: n, w: w, grain: p.grain(n, w), assign: p.opts.Assignment,
+		allWorkers: p.opts.Cost != nil, canceled: job.Canceled, tracing: tracing}
+	l.fn = func(worker, lo, hi int) error {
+		if err := fn(job, lo, results[lo:hi], items[lo:hi]); err != nil {
+			if errors.Is(err, ErrCanceled) {
+				return ErrCanceled // however the handler wrapped it
 			}
-			return false
+			return err
 		}
 		atomic.AddInt64(&job.loads[worker], int64(hi-lo))
 		if p.opts.Cost != nil {
@@ -354,136 +320,26 @@ func (p *Parallel) MapChunks(fn ChunkHandler) *Job {
 			}
 			atomic.AddInt64(&job.costs[worker], c)
 		}
-		return true
+		return nil
 	}
-
-	var pending atomic.Int32
-	finishIfLast := func() {
-		if pending.Add(-1) != 0 {
-			return
-		}
+	l.resolve = func(err error) {
 		var res *value.List
-		fail.Lock()
-		err := fail.err
-		fail.Unlock()
-		switch {
-		case err != nil: // an element's error outranks cancellation
-		case job.canceled.Load():
-			err = ErrCanceled
-		default:
+		if err == nil {
 			res = value.NewList(results...)
 		}
 		if tracing {
-			p.traceJobEnd(job, "parallel.map", jobStart, n, w, err)
+			p.traceJobEnd("parallel.map", jobStart, n, w, l.chunks.Load(), err)
 		}
 		job.finish(res, err)
 	}
-
-	pool := SharedPool()
-	switch p.opts.Assignment {
-	case Dynamic:
-		grain := p.grain(n, w)
-		var next atomic.Int64
-		claim := func(worker int) bool {
-			lo := int(next.Add(int64(grain))) - grain
-			if lo >= n {
-				if tracing {
-					obs.PoolClaimsEmpty.Inc()
-				}
-				return false
-			}
-			if tracing {
-				obs.PoolClaims.Inc()
-			}
-			hi := lo + grain
-			if hi > n {
-				hi = n
-			}
-			return runChunk(worker, lo, hi)
-		}
-		if p.opts.Cost != nil {
-			// Instrumented mode (E10): every requested worker must
-			// participate so the load-balance ablation observes the
-			// full w-way assignment, not however many executors the
-			// cascade below happened to wake.
-			pending.Store(int32(w))
-			for k := 0; k < w; k++ {
-				worker := k
-				pool.Submit(func() {
-					defer finishIfLast()
-					for claim(worker) {
-					}
-				})
-			}
-			break
-		}
-		// Cascading spawn: executor k enlists executor k+1 only while
-		// unclaimed work remains. On idle cores the chain unrolls to
-		// all w executors almost immediately; on a saturated machine a
-		// fast executor drains the queue before the chain grows, so a
-		// small job pays for the wakeups it can use instead of w of
-		// them. pending is incremented before each Submit, so the job
-		// cannot resolve while a link of the chain is still in flight.
-		var launch func(worker int)
-		launch = func(worker int) {
-			pending.Add(1)
-			if tracing && worker > 0 {
-				obs.PoolCascadeEnlists.Inc()
-			}
-			pool.Submit(func() {
-				defer finishIfLast()
-				if worker+1 < w && int(next.Load()) < n {
-					launch(worker + 1)
-				}
-				for claim(worker) {
-				}
-			})
-		}
-		launch(0)
-	case Block:
-		chunk := (n + w - 1) / w
-		active := 0
-		for k := 0; k < w; k++ {
-			if k*chunk < n {
-				active++
-			}
-		}
-		pending.Store(int32(active))
-		for k := 0; k < w; k++ {
-			lo, hi := k*chunk, (k+1)*chunk
-			if hi > n {
-				hi = n
-			}
-			if lo >= hi {
-				continue
-			}
-			worker, lo, hi := k, lo, hi
-			pool.Submit(func() {
-				defer finishIfLast()
-				runChunk(worker, lo, hi)
-			})
-		}
-	case Interleaved:
-		pending.Store(int32(w))
-		for k := 0; k < w; k++ {
-			worker := k
-			pool.Submit(func() {
-				defer finishIfLast()
-				for i := worker; i < n; i += w {
-					if !runChunk(worker, i, i+1) {
-						return
-					}
-				}
-			})
-		}
-	}
+	l.start()
 	return job
 }
 
 // traceJobEnd records a finished job's wall time and its trace span.
 // Only called on the tracing path, so the allocations here never touch a
 // disabled run.
-func (p *Parallel) traceJobEnd(job *Job, kind string, start time.Time, n, w int, err error) {
+func (p *Parallel) traceJobEnd(kind string, start time.Time, n, w int, chunks int64, err error) {
 	dur := time.Since(start)
 	obs.PoolJobSeconds.Observe(dur.Seconds())
 	status := "ok"
@@ -501,43 +357,26 @@ func (p *Parallel) traceJobEnd(job *Job, kind string, start time.Time, n, w int,
 		Attrs: []obs.Attr{
 			obs.AttrInt("n", int64(n)),
 			obs.AttrInt("workers", int64(w)),
-			obs.AttrInt("chunks", job.chunks.Load()),
+			obs.AttrInt("chunks", chunks),
 			{Key: "assignment", Val: p.opts.Assignment.String()},
 			{Key: "status", Val: status},
 		},
 	})
 }
 
-// safeChunk guards the pool's executors against a panicking ChunkHandler
-// the way runHandler guards per-element handlers.
-func safeChunk(fn ChunkHandler, j *Job, base int, dst, src []value.Value) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("worker script error: %v", r)
-		}
-	}()
-	return fn(j, base, dst, src)
-}
-
 // ReduceFunc combines two values; it must be associative for the parallel
 // reduction to be deterministic up to association.
 type ReduceFunc func(a, b value.Value) (value.Value, error)
 
-// Reduce folds the pool's data with fn: each worker folds a contiguous
-// chunk on the persistent SharedPool, then the last worker to finish folds
-// the partials left-to-right and resolves the job. The empty list resolves
-// to Nothing. The operands are the data's own elements, not clones: the
-// caller ships the pool a list private to the job, as the parallel blocks
-// do.
+// Reduce folds the pool's data with fn: each worker folds one contiguous
+// chunk (the chunk loop's Block assignment) into its partial, then the
+// last worker to finish folds the partials left-to-right and resolves the
+// job. The empty list resolves to Nothing. The operands are the data's
+// own elements, not clones: the caller ships the pool a list private to
+// the job, as the parallel blocks do.
 func (p *Parallel) Reduce(fn ReduceFunc) *Job {
 	n := p.data.Len()
-	w := p.opts.MaxWorkers
-	if w > n && n > 0 {
-		w = n
-	}
-	if w < 1 {
-		w = 1
-	}
+	w := clampWorkers(p.opts.MaxWorkers, n)
 	job := newJob(w)
 	if n == 0 {
 		job.finish(value.NewList(value.Nothing{}), nil)
@@ -550,91 +389,49 @@ func (p *Parallel) Reduce(fn ReduceFunc) *Job {
 		obs.PoolJobs.With("reduce").Inc()
 	}
 	items := p.data.Items()
-
 	partials := make([]value.Value, w)
-	errs := make([]error, w)
-	chunk := (n + w - 1) / w
-	active := 0
-	for k := 0; k < w; k++ {
-		if k*chunk < n {
-			active++
+	l := &chunkLoop{n: n, w: w, assign: Block, canceled: job.Canceled, tracing: tracing}
+	l.fn = func(worker, lo, hi int) error {
+		acc := items[lo]
+		atomic.AddInt64(&job.loads[worker], 1)
+		for i := lo + 1; i < hi; i++ {
+			if job.Canceled() {
+				return ErrCanceled
+			}
+			out, err := fn(acc, items[i])
+			if err != nil {
+				return err
+			}
+			acc = out
+			atomic.AddInt64(&job.loads[worker], 1)
 		}
+		partials[worker] = acc
+		return nil
 	}
-	var pending atomic.Int32
-	pending.Store(int32(active))
-	finish := func(res *value.List, err error) {
+	l.resolve = func(err error) {
+		var acc value.Value
+		for _, part := range partials {
+			if err != nil {
+				break
+			}
+			switch {
+			case part == nil:
+			case acc == nil:
+				acc = part
+			default:
+				acc, err = runReduce(fn, acc, part)
+			}
+		}
+		var res *value.List
+		if err == nil {
+			res = value.NewList(acc)
+		}
 		if tracing {
-			p.traceJobEnd(job, "parallel.reduce", jobStart, n, w, err)
+			p.traceJobEnd("parallel.reduce", jobStart, n, w, l.chunks.Load(), err)
 		}
 		job.finish(res, err)
 	}
-	finishIfLast := func() {
-		if pending.Add(-1) != 0 {
-			return
-		}
-		for _, err := range errs {
-			if err != nil {
-				finish(nil, err)
-				return
-			}
-		}
-		var acc value.Value
-		for _, part := range partials {
-			if part == nil {
-				continue
-			}
-			if acc == nil {
-				acc = part
-				continue
-			}
-			out, err := runReduce(fn, acc, part)
-			if err != nil {
-				finish(nil, err)
-				return
-			}
-			acc = out
-		}
-		finish(value.NewList(acc), nil)
-	}
-
-	pool := SharedPool()
-	for k := 0; k < w; k++ {
-		lo, hi := k*chunk, (k+1)*chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			continue
-		}
-		worker, lo, hi := k, lo, hi
-		pool.Submit(func() {
-			defer finishIfLast()
-			if tracing {
-				chunkStart := time.Now()
-				defer func() {
-					obs.PoolChunkSeconds.Observe(time.Since(chunkStart).Seconds())
-					obs.PoolChunks.Inc()
-					job.chunks.Add(1)
-				}()
-			}
-			acc := items[lo]
-			atomic.AddInt64(&job.loads[worker], 1)
-			for i := lo + 1; i < hi; i++ {
-				if job.canceled.Load() {
-					errs[worker] = ErrCanceled
-					return
-				}
-				out, err := runReduce(fn, acc, items[i])
-				if err != nil {
-					errs[worker] = err
-					return
-				}
-				acc = out
-				atomic.AddInt64(&job.loads[worker], 1)
-			}
-			partials[worker] = acc
-		})
-	}
+	l.start()
 	return job
 }
 
