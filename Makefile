@@ -39,12 +39,13 @@ race:
 # engine's cancel test (TestRunStopsClaimingOnceCanceled).
 # Those parallel-block tests get a line of their own: their busy workers
 # would load the host under the timing-sensitive router tests.
-# Then give the five differential fuzzers — compiled-vs-interpreted
+# Then give the six differential fuzzers — compiled-vs-interpreted
 # rings, lowered-vs-tree-walked scripts, the server's request envelope
-# scanner against encoding/json, the router's forwarder against
-# net/http's Transport, and the .sblk reader against the rune-slice
-# reader it replaced — a short burst, and finish with the
-# deterministic-seed cross-tier stress soak.
+# scanner against encoding/json, the server's reply encoder against
+# json.MarshalIndent, the router's forwarder against net/http's
+# Transport, and the .sblk reader against the rune-slice reader it
+# replaced — a short burst, and finish with the deterministic-seed
+# cross-tier stress soak.
 check:
 	$(GO) vet ./...
 	$(GO) test -race -shuffle=on ./internal/workers/... ./internal/mapreduce/... \
@@ -59,6 +60,7 @@ check:
 	$(GO) test -run '^$$' -fuzz FuzzCompileRing -fuzztime 5s ./internal/compile/
 	$(GO) test -run '^$$' -fuzz FuzzLowerProject -fuzztime 5s ./internal/vm/
 	$(GO) test -run '^$$' -fuzz FuzzRequestEnvelope -fuzztime 5s ./internal/server/
+	$(GO) test -run '^$$' -fuzz FuzzReplyMatchesMarshalIndent -fuzztime 5s ./internal/server/
 	$(GO) test -run '^$$' -fuzz FuzzForwardReply -fuzztime 5s ./internal/shard/
 	$(GO) test -run '^$$' -fuzz FuzzReaderMatchesReference -fuzztime 5s ./internal/parse/
 	$(MAKE) stress

@@ -36,6 +36,7 @@ import (
 	"repro/internal/server"
 	"repro/internal/shard"
 	"repro/internal/value"
+	"repro/internal/vclock"
 	"repro/internal/vm"
 	"repro/internal/workers"
 	"repro/internal/xmlio"
@@ -409,15 +410,21 @@ func e17Source() string {
 // perfbench's traced spans so a moving end-to-end row can be pinned to
 // the layer that moved it.
 //
-//   - server.json/<body>/indent reads the request envelope as the server
+//   - server.json/<body>/served reads the request envelope as the server
 //     does on its accept path (progcache.ScanEnvelope, the project left
-//     raw) and encodes the server's own reply with MarshalIndent, as
-//     writeJSON does. <body>/compact encodes with Marshal instead: the
+//     raw) and encodes the server's own reply as handleRun does
+//     (RunResponse.AppendJSON into a reused buffer). <body>/indent
+//     encodes the same bytes with json.MarshalIndent, the reference the
+//     served encoder is held to; <body>/compact encodes with Marshal: the
 //     difference is what the indented reply format costs.
 //   - parse.project/<body> reads a .sblk project into its block AST
 //     (parse.Project), the work of a Tier A miss before linting.
 //   - progcache.get is a Tier A hit on the E17 body: its key (a hash of
 //     the raw project token) plus the lookup.
+//   - interp.machine_build/<body> builds the machine a Tier A hit runs:
+//     from the entry's run plan (interp.Plan.NewMachine).
+//   - stage.snapshot/e17 renders the final stage of an E17 run, 41
+//     sprites, as each reply carries it.
 //   - vm.lower/<body>/hit resolves the body's green-flag scripts through
 //     the warm lowered-program memo (vm.Lookup); <body>/miss lowers them
 //     afresh (vm.LowerScript), as a cold memo does.
@@ -443,10 +450,12 @@ func BenchmarkLayer(b *testing.B) {
 		if err := json.Unmarshal(rec.Body.Bytes(), &reply); err != nil || rec.Code != 200 {
 			b.Fatalf("%s: %d %s", bd.name, rec.Code, rec.Body.String())
 		}
+		var buf []byte
 		for _, enc := range []struct {
 			name    string
 			marshal func(any) ([]byte, error)
 		}{
+			{"served", func(any) ([]byte, error) { buf = reply.AppendJSON(buf[:0]); return buf, nil }},
 			{"indent", func(v any) ([]byte, error) { return json.MarshalIndent(v, "", "  ") }},
 			{"compact", json.Marshal},
 		} {
@@ -506,6 +515,37 @@ func BenchmarkLayer(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	e17Project, err := parse.Project(e17Source())
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, mb := range []struct {
+		name    string
+		project *blocks.Project
+	}{{"e17", e17Project}, {"concession-xml", xmlProject}} {
+		b.Run("interp.machine_build/"+mb.name, func(b *testing.B) {
+			plan := interp.NewPlan(mb.project)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				plan.NewMachine(vclock.New())
+			}
+		})
+	}
+	b.Run("stage.snapshot/e17", func(b *testing.B) {
+		m := interp.NewMachine(e17Project, vclock.New())
+		m.GreenFlag()
+		if err := m.Run(0); err != nil {
+			b.Fatal(err)
+		}
+		if n := len(m.Stage.Snapshot()); n != 41 {
+			b.Fatalf("%d stage lines, want 41", n)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			m.Stage.Snapshot()
+		}
+	})
 	for _, lp := range []struct {
 		name    string
 		project *blocks.Project

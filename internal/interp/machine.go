@@ -42,12 +42,18 @@ type Machine struct {
 	// share an ID. Set before GreenFlag; empty means unlabeled.
 	TraceID string
 
-	procs       []*Process
-	rng         *rand.Rand
-	fs          FileSystem
+	procs []*Process
+	rng   *rand.Rand
+	fs    FileSystem
+	plan  *Plan
+	// frames are the scopes the plan lays out: the global frame, then
+	// one per sprite that declares variables. actors are the sprites'
+	// actors, in project order; cloneSprite binds each live clone to its
+	// sprite.
+	frames      []Frame
 	globalFrame *Frame
-	spriteFrame map[*blocks.Sprite]*Frame
-	actorSprite map[*stage.Actor]*blocks.Sprite
+	actors      []stage.Actor
+	cloneSprite map[*stage.Actor]*blocks.Sprite
 	errs        []error
 	round       int64
 	steps       int64
@@ -68,43 +74,20 @@ type Machine struct {
 
 // NewMachine builds a machine for the project over a fresh stage driven by
 // the given clock (nil for a plain clock). Every sprite gets a stage actor.
+// It is NewPlan(project).NewMachine(clock); a caller that builds many
+// machines for one project keeps the plan instead.
 func NewMachine(project *blocks.Project, clock *vclock.Clock) *Machine {
-	m := &Machine{
-		Project:  project,
-		Stage:    stage.New(clock),
-		SliceOps: DefaultSliceOps,
-	}
-	// Initial variable values are deep-cloned out of the project: the
-	// project may be a shared, content-address-cached AST serving many
-	// concurrent machines (internal/progcache), so a session mutating a
-	// list global must mutate its own copy. Scalars share (CloneValue
-	// returns them as-is); only containers pay a copy, once per machine.
-	m.globalFrame = NewFrame(nil)
-	for name, v := range project.Globals {
-		m.globalFrame.Declare(name, value.CloneValue(v))
-	}
-	// The sprite and actor maps stay nil for spriteless projects (the
-	// eval-session pattern: one scratch machine per request) — reads on
-	// nil maps are legal, and the write paths lazily allocate.
-	for _, sp := range project.Sprites {
-		f := NewFrame(m.globalFrame)
-		for name, v := range sp.Variables {
-			f.Declare(name, value.CloneValue(v))
-		}
-		m.setSpriteFrame(sp, f)
-		actor := m.Stage.AddActor(sp.Name, sp.X, sp.Y)
-		m.bindActor(actor, sp)
-	}
-	return m
+	return NewPlan(project).NewMachine(clock)
 }
 
 // Reset returns the machine to its post-NewMachine state over the same
 // project, stage, and clock: every process, actor, trace line, error, and
-// accumulated counter is dropped and the scopes are rebuilt from the
-// project. Eval-style servers run one scratch machine per request; a pool
-// of Reset machines makes that pattern pay only per-script costs. Scopes
-// are rebuilt as fresh frames, not recycled ones, so ring values that
-// escaped a previous run keep their captured environment intact.
+// accumulated counter is dropped and the scopes and actors are rebuilt
+// from the machine's plan. Eval-style servers run one scratch machine per
+// request; a pool of Reset machines makes that pattern pay only
+// per-script costs. Scopes are rebuilt as fresh frames, not recycled
+// ones, so ring values that escaped a previous run keep their captured
+// environment intact.
 func (m *Machine) Reset() {
 	m.Stage.Reset()
 	m.SliceOps = DefaultSliceOps
@@ -125,21 +108,7 @@ func (m *Machine) Reset() {
 	}
 	// Stage.Reset dropped the actors, the scratch one included.
 	m.scratchSp, m.scratchActor = nil, nil
-	m.globalFrame = NewFrame(nil)
-	for name, v := range m.Project.Globals {
-		m.globalFrame.Declare(name, value.CloneValue(v))
-	}
-	clear(m.spriteFrame)
-	clear(m.actorSprite)
-	for _, sp := range m.Project.Sprites {
-		f := NewFrame(m.globalFrame)
-		for name, v := range sp.Variables {
-			f.Declare(name, value.CloneValue(v))
-		}
-		m.setSpriteFrame(sp, f)
-		actor := m.Stage.AddActor(sp.Name, sp.X, sp.Y)
-		m.bindActor(actor, sp)
-	}
+	m.build()
 }
 
 // Rand is the machine's deterministic random stream (seeded; reproducible
@@ -170,29 +139,42 @@ func (m *Machine) SetFS(fs FileSystem) { m.fs = fs }
 // GlobalFrame exposes the project-global scope.
 func (m *Machine) GlobalFrame() *Frame { return m.globalFrame }
 
-func (m *Machine) setSpriteFrame(sp *blocks.Sprite, f *Frame) {
-	if m.spriteFrame == nil {
-		m.spriteFrame = map[*blocks.Sprite]*Frame{}
+// SpriteFrame returns the sprite-level scope, or nil when the sprite
+// declares no variables: its scripts then see the global scope directly.
+func (m *Machine) SpriteFrame(sp *blocks.Sprite) *Frame {
+	if i, ok := m.plan.scope[sp]; ok {
+		return &m.frames[i]
 	}
-	m.spriteFrame[sp] = f
+	return nil
 }
 
-func (m *Machine) bindActor(a *stage.Actor, sp *blocks.Sprite) {
-	if m.actorSprite == nil {
-		m.actorSprite = map[*stage.Actor]*blocks.Sprite{}
+// spriteOf is the sprite an actor runs scripts for: an original's own
+// sprite, the sprite a clone was bound to, or nil.
+func (m *Machine) spriteOf(a *stage.Actor) *blocks.Sprite {
+	if a.IsClone() {
+		return m.cloneSprite[a]
 	}
-	m.actorSprite[a] = sp
+	if len(m.actors) > 0 {
+		if i := a.ID - m.actors[0].ID; i >= 0 && i < len(m.actors) && &m.actors[i] == a {
+			return m.Project.Sprites[i]
+		}
+	}
+	return nil
 }
 
-// SpriteFrame returns the sprite-level scope.
-func (m *Machine) SpriteFrame(sp *blocks.Sprite) *Frame { return m.spriteFrame[sp] }
+func (m *Machine) bindClone(a *stage.Actor, sp *blocks.Sprite) {
+	if m.cloneSprite == nil {
+		m.cloneSprite = map[*stage.Actor]*blocks.Sprite{}
+	}
+	m.cloneSprite[a] = sp
+}
 
 // SpawnScript starts a new process running script on behalf of (sprite,
 // actor); it begins executing on the next scheduler round, like a script
 // whose hat block just fired.
 func (m *Machine) SpawnScript(sp *blocks.Sprite, actor *stage.Actor, script *blocks.Script) *Process {
 	base := m.globalFrame
-	if f, ok := m.spriteFrame[sp]; ok {
+	if f := m.SpriteFrame(sp); f != nil {
 		base = f
 	}
 	// Build the process without its initial tree context: when the spawn
@@ -228,14 +210,9 @@ func (m *Machine) SpawnExpr(sp *blocks.Sprite, actor *stage.Actor, expr any, fra
 // GreenFlag fires the "when green flag clicked" hats of every sprite and
 // returns the started processes.
 func (m *Machine) GreenFlag() []*Process {
-	var started []*Process
-	for _, sp := range m.Project.Sprites {
-		actor := m.Stage.Actor(sp.Name)
-		for _, hs := range sp.Scripts {
-			if hs.Hat == blocks.HatGreenFlag {
-				started = append(started, m.SpawnScript(sp, actor, hs.Script))
-			}
-		}
+	started := make([]*Process, len(m.plan.greenFlag))
+	for i, hs := range m.plan.greenFlag {
+		started[i] = m.SpawnScript(hs.sprite, m.Stage.Actor(hs.sprite.Name), hs.script)
 	}
 	return started
 }
@@ -273,12 +250,12 @@ func (m *Machine) StartBroadcast(msg string) []*Process {
 // start as a clone" hats on behalf of the clone. It returns the clone.
 func (m *Machine) CreateClone(parent *stage.Actor) *stage.Actor {
 	clone := m.Stage.Clone(parent)
-	sp := m.actorSprite[parent]
+	sp := m.spriteOf(parent)
 	if sp == nil && parent.Parent != nil {
-		sp = m.actorSprite[parent.Parent]
+		sp = m.spriteOf(parent.Parent)
 	}
 	if sp != nil {
-		m.bindActor(clone, sp)
+		m.bindClone(clone, sp)
 		for _, hs := range sp.Scripts {
 			if hs.Hat == blocks.HatCloneStart {
 				m.SpawnScript(sp, clone, hs.Script)
@@ -294,9 +271,8 @@ func (m *Machine) CreateClone(parent *stage.Actor) *stage.Actor {
 // uses "Snap!'s intrinsic cloning feature in a novel way").
 func (m *Machine) CloneSilent(parent *stage.Actor) *stage.Actor {
 	clone := m.Stage.Clone(parent)
-	sp := m.actorSprite[parent]
-	if sp != nil {
-		m.bindActor(clone, sp)
+	if sp := m.spriteOf(parent); sp != nil {
+		m.bindClone(clone, sp)
 	}
 	return clone
 }
@@ -312,7 +288,7 @@ func (m *Machine) RemoveClone(a *stage.Actor) {
 			p.Stop()
 		}
 	}
-	delete(m.actorSprite, a)
+	delete(m.cloneSprite, a)
 	m.Stage.Remove(a)
 }
 

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/blocks"
+	"repro/internal/interp"
 	"repro/internal/lint"
 	"repro/internal/parse"
 	"repro/internal/progcache"
@@ -31,8 +32,8 @@ func e17Source() string {
 }
 
 // TestProjectCostTracksRetainedHeap holds Tier A's charge for an entry
-// within ±50% of the heap the entry keeps: the parsed project and its lint
-// findings, or the parse error of a rejected body. The heap is measured as
+// within ±50% of the heap the entry keeps: the parsed project, its run
+// plan and its lint findings, or the parse error of a rejected body. The heap is measured as
 // the growth over n entries kept alive (several megabytes, so stray
 // allocations elsewhere stay small against it), each elaborated from its
 // own copy of the source, as the server elaborates each request's decoded
@@ -74,7 +75,7 @@ func TestProjectCostTracksRetainedHeap(t *testing.T) {
 				if err != nil {
 					return &progcache.ProjectEntry{ParseErr: err.Error()}
 				}
-				ent := &progcache.ProjectEntry{Project: p}
+				ent := &progcache.ProjectEntry{Project: p, Plan: interp.NewPlan(p)}
 				for _, f := range lint.Project(p) {
 					ent.Warnings = append(ent.Warnings, f.String())
 				}

@@ -2,19 +2,23 @@ package progcache
 
 import (
 	"repro/internal/blocks"
+	"repro/internal/interp"
 	"repro/internal/value"
 )
 
 // ProjectEntry is Tier A's cached elaboration outcome for one request
-// body: either a parse failure, or the parsed project with its lint
-// findings split by severity. Entries are shared across requests and
-// sessions, so every field is immutable by contract — handlers must not
-// append to the finding slices in place, and sessions must treat the
-// Project as read-only (the interpreter clones mutable state out of it;
-// see interp.NewMachine).
+// body: either a parse failure, or the parsed project with its run plan
+// and its lint findings split by severity. Entries are shared across
+// requests and sessions, so every field is immutable by contract —
+// handlers must not append to the finding slices in place, and sessions
+// must treat the Project and the Plan as read-only (the interpreter
+// clones mutable state out of them; see interp.Plan).
 type ProjectEntry struct {
 	// Project is the parsed AST; nil when parsing failed.
 	Project *blocks.Project
+	// Plan is the Project's run plan, from which each session builds its
+	// machine; nil when parsing failed.
+	Plan *interp.Plan
 	// ParseErr carries the parse failure; empty on success.
 	ParseErr string
 	// Fatal are error-severity lint findings (the request is rejected);
@@ -27,7 +31,8 @@ type ProjectEntry struct {
 // per block, input slot, literal or variable leaf, script and sprite
 // (sizes measured on this repository's projects, see
 // TestProjectCostTracksRetainedHeap), the bytes of every string its AST
-// holds, and its parse error or finding strings. Strings are priced at
+// holds, its run plan (as the plan estimates itself), and its parse
+// error or finding strings. Strings are priced at
 // their length because a body can make any of them as long as itself: a
 // rejected body's error quotes the atom it stopped at, and an XML
 // literal or selector is as long as its attribute.
@@ -47,6 +52,9 @@ func (e *ProjectEntry) cost() int64 {
 		z.project(e.Project)
 		n += int64(z.text) + int64(z.blocks)*blockCost + int64(z.inputs)*inputCost +
 			int64(z.leaves)*leafCost + int64(z.scripts)*scriptCost + int64(z.sprites)*spriteCost
+	}
+	if e.Plan != nil {
+		n += e.Plan.Bytes()
 	}
 	for _, f := range e.Fatal {
 		n += int64(len(f))

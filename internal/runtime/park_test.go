@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/interp"
 	"repro/internal/obs"
 	"repro/internal/vm"
 )
@@ -118,7 +119,7 @@ func TestParkedSessionHonoursDeadline(t *testing.T) {
 	for _, tc := range busySrcs {
 		t.Run(tc.name, func(t *testing.T) {
 			start := time.Now()
-			s, err := mgr.RunTraced(context.Background(), mustProject(t, tc.src), Limits{Timeout: deadline}, "parked-deadline-"+tc.name)
+			s, err := mgr.RunTraced(context.Background(), interp.NewPlan(mustProject(t, tc.src)), Limits{Timeout: deadline}, "parked-deadline-"+tc.name)
 			if err != nil {
 				t.Fatal(err)
 			}

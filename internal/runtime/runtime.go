@@ -352,35 +352,34 @@ func newID() string {
 // ErrOverloaded from admission control, or the context's error if the
 // caller gave up while queued.
 func (mgr *Manager) Run(ctx context.Context, project *blocks.Project, lim Limits) (*Session, error) {
-	return mgr.RunTraced(ctx, project, lim, "")
+	return mgr.RunTraced(ctx, interp.NewPlan(project), lim, "")
 }
 
-// RunTraced is Run with an explicit trace ID: a non-empty requestID (the
-// router's X-Request-ID) becomes the ID every span of this session is
-// recorded under, so one distributed request correlates across the
-// router→backend hop. Empty requestID keeps the session ID as the trace
-// ID — standalone behavior is unchanged.
-func (mgr *Manager) RunTraced(ctx context.Context, project *blocks.Project, lim Limits, requestID string) (*Session, error) {
+// RunTraced is Run over a project's run plan, which a caller that runs
+// one project many times keeps (the server's Tier A entries do), with an
+// explicit trace ID: a non-empty requestID (the router's X-Request-ID)
+// becomes the ID every span of this session is recorded under, so one
+// distributed request correlates across the router→backend hop. Empty
+// requestID keeps the session ID as the trace ID — standalone behavior is
+// unchanged.
+func (mgr *Manager) RunTraced(ctx context.Context, plan *interp.Plan, lim Limits, requestID string) (*Session, error) {
 	lim = lim.withDefaults(mgr.cfg.Defaults).clamp(mgr.cfg.Ceiling)
 
-	// Admission: bounded queue, bounded wait.
+	// Admission: bounded queue, bounded wait. A free slot is taken at
+	// once; only a full manager arms the wait timer.
 	if int(mgr.queued.Add(1)) > mgr.cfg.MaxQueue {
 		mgr.queued.Add(-1)
 		mgr.rejected.Add(1)
 		return nil, fmt.Errorf("%w: wait queue full (%d sessions waiting)", ErrOverloaded, mgr.cfg.MaxQueue)
 	}
 	waitStart := time.Now()
-	waitTimer := time.NewTimer(mgr.cfg.QueueWait)
-	defer waitTimer.Stop()
 	select {
 	case mgr.slots <- struct{}{}:
-	case <-waitTimer.C:
-		mgr.queued.Add(-1)
-		mgr.rejected.Add(1)
-		return nil, fmt.Errorf("%w: no execution slot within %v", ErrOverloaded, mgr.cfg.QueueWait)
-	case <-ctx.Done():
-		mgr.queued.Add(-1)
-		return nil, ctx.Err()
+	default:
+		if err := mgr.awaitSlot(ctx); err != nil {
+			mgr.queued.Add(-1)
+			return nil, err
+		}
 	}
 	mgr.queued.Add(-1)
 	mgr.admitted.Add(1)
@@ -394,12 +393,28 @@ func (mgr *Manager) RunTraced(ctx context.Context, project *blocks.Project, lim 
 	mgr.sessions[s.id] = s
 	mgr.mu.Unlock()
 
-	mgr.execute(ctx, s, project, lim, time.Since(waitStart))
+	mgr.execute(ctx, s, plan, lim, time.Since(waitStart))
 	return s, nil
 }
 
+// awaitSlot waits for an execution slot, at most QueueWait: ErrOverloaded
+// when the wait runs out, the context's error when the caller gives up.
+func (mgr *Manager) awaitSlot(ctx context.Context) error {
+	waitTimer := time.NewTimer(mgr.cfg.QueueWait)
+	defer waitTimer.Stop()
+	select {
+	case mgr.slots <- struct{}{}:
+		return nil
+	case <-waitTimer.C:
+		mgr.rejected.Add(1)
+		return fmt.Errorf("%w: no execution slot within %v", ErrOverloaded, mgr.cfg.QueueWait)
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
+
 // execute runs the session to its end and records the result.
-func (mgr *Manager) execute(ctx context.Context, s *Session, project *blocks.Project, lim Limits, waited time.Duration) {
+func (mgr *Manager) execute(ctx context.Context, s *Session, plan *interp.Plan, lim Limits, waited time.Duration) {
 	var runCtx context.Context
 	var cancel context.CancelFunc
 	if lim.Timeout > 0 {
@@ -410,7 +425,7 @@ func (mgr *Manager) execute(ctx context.Context, s *Session, project *blocks.Pro
 	defer cancel()
 	s.cancel.Store(cancel)
 
-	m := interp.NewMachine(project, vclock.New())
+	m := plan.NewMachine(vclock.New())
 	m.TraceID = s.traceID // worker jobs launched by this session share its span ID
 	if lim.MaxTraceLines > 0 {
 		m.Stage.MaxTrace = lim.MaxTraceLines

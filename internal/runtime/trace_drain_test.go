@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/interp"
 	"repro/internal/obs"
 )
 
@@ -18,7 +19,7 @@ func TestRunTracedStampsRequestID(t *testing.T) {
 	obs.ResetSpans()
 
 	mgr := NewManager(Config{})
-	s, err := mgr.RunTraced(context.Background(), mustProject(t, quickSrc), Limits{}, "req-42")
+	s, err := mgr.RunTraced(context.Background(), interp.NewPlan(mustProject(t, quickSrc)), Limits{}, "req-42")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,6 +28,7 @@ import (
 
 	"repro/internal/blocks"
 	"repro/internal/codegen"
+	"repro/internal/interp"
 	"repro/internal/lint"
 	"repro/internal/obs"
 	"repro/internal/parse"
@@ -184,16 +185,22 @@ type errorBody struct {
 }
 
 // writeJSON encodes v before writing the header, so an encoding panic
-// leaves the answer unstarted and instrument can still send a 500.
+// leaves the answer unstarted and instrument can still send a 500. The
+// served replies take writeReply instead, which writes the same bytes.
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	b, _ := json.MarshalIndent(v, "", "  ") // every response type encodes
+	writeBody(w, code, append(b, '\n'))
+}
+
+// writeBody writes an encoded JSON answer.
+func writeBody(w http.ResponseWriter, code int, b []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	w.Write(append(b, '\n')) //nolint:errcheck // client gone; nothing to do
+	w.Write(b) //nolint:errcheck // client gone; nothing to do
 }
 
 func writeError(w http.ResponseWriter, code int, format string, args ...any) {
-	writeJSON(w, code, errorBody{Error: fmt.Sprintf(format, args...)})
+	writeReply(w, code, &errorBody{Error: fmt.Sprintf(format, args...)})
 }
 
 // request is one run or codegen body, read once, with the bytes it came
@@ -335,14 +342,16 @@ func decodeProject(src, format string) (*blocks.Project, error) {
 }
 
 // elaborate is the uncached decode-and-lint pipeline: one Tier A cache
-// load. Parse failures and lint findings are part of the outcome, so a
-// cached rejection replays as cheaply as a cached success.
+// load. It also works out the project's run plan, so a cached request
+// builds its machine without walking the project. Parse failures and lint
+// findings are part of the outcome, so a cached rejection replays as
+// cheaply as a cached success.
 func elaborate(src, format string) *progcache.ProjectEntry {
 	project, err := decodeProject(src, format)
 	if err != nil {
 		return &progcache.ProjectEntry{ParseErr: err.Error()}
 	}
-	ent := &progcache.ProjectEntry{Project: project}
+	ent := &progcache.ProjectEntry{Project: project, Plan: interp.NewPlan(project)}
 	for _, f := range lint.Project(project) {
 		if f.Severity == lint.Error {
 			ent.Fatal = append(ent.Fatal, f.String())
@@ -377,7 +386,7 @@ func (s *Server) project(w http.ResponseWriter, q *request) (*progcache.ProjectE
 		findings := make([]string, 0, len(ent.Fatal)+len(ent.Warnings))
 		findings = append(findings, ent.Fatal...)
 		findings = append(findings, ent.Warnings...)
-		writeJSON(w, http.StatusBadRequest, errorBody{
+		writeReply(w, http.StatusBadRequest, &errorBody{
 			Error:    fmt.Sprintf("project rejected by lint (%d errors)", len(ent.Fatal)),
 			Findings: findings,
 		})
@@ -431,7 +440,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	if reqID != "" {
 		w.Header().Set("X-Request-ID", reqID)
 	}
-	sess, err := s.mgr.RunTraced(r.Context(), ent.Project, lim, reqID)
+	sess, err := s.mgr.RunTraced(r.Context(), ent.Plan, lim, reqID)
 	switch {
 	case errors.Is(err, runtime.ErrOverloaded):
 		w.Header().Set("Retry-After", s.retryAfter())
@@ -451,7 +460,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		// the run itself is a server-side failure, not a program outcome.
 		code = http.StatusInternalServerError
 	}
-	writeJSON(w, code, RunResponse{ID: sess.ID(), Warnings: ent.Warnings, Result: res})
+	writeReply(w, code, &RunResponse{ID: sess.ID(), Warnings: ent.Warnings, Result: res})
 }
 
 // retryAfter derives the 429 Retry-After hint from the admission queue
@@ -530,7 +539,7 @@ func (s *Server) handleCodegen(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusUnprocessableEntity, "translate: %v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, CodegenResponse{Lang: lang, Source: src, Warnings: warnings})
+	writeReply(w, http.StatusOK, &CodegenResponse{Lang: lang, Source: src, Warnings: warnings})
 }
 
 func greenFlagScript(p *blocks.Project) *blocks.Script {

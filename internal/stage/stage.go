@@ -9,7 +9,9 @@ package stage
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"strconv"
 	"sync"
 
 	"repro/internal/value"
@@ -34,6 +36,12 @@ type Actor struct {
 	stage *Stage
 }
 
+// Original is the actor AddActor mints for a sprite at (x, y): facing
+// right, visible, silent. Its ID and stage are set when it is placed.
+func Original(name string, x, y float64) Actor {
+	return Actor{Name: name, X: x, Y: y, Heading: 90, Visible: true}
+}
+
 // IsClone reports whether the actor is a temporary clone.
 func (a *Actor) IsClone() bool { return a.Parent != nil }
 
@@ -53,7 +61,7 @@ func (a *Actor) MoveForward(n float64) {
 	rad := (90 - a.Heading) * math.Pi / 180
 	a.X += n * math.Cos(rad)
 	a.Y += n * math.Sin(rad)
-	a.stage.trace("%s moves %g", a.Label(), n)
+	a.stage.trace(func(b []byte) []byte { return appendG(append(a.appendLabel(b), " moves "...), n) })
 }
 
 // Turn turns clockwise by deg degrees.
@@ -62,13 +70,16 @@ func (a *Actor) Turn(deg float64) {
 	if a.Heading < 0 {
 		a.Heading += 360
 	}
-	a.stage.trace("%s turns %g", a.Label(), deg)
+	a.stage.trace(func(b []byte) []byte { return appendG(append(a.appendLabel(b), " turns "...), deg) })
 }
 
 // GotoXY teleports the actor.
 func (a *Actor) GotoXY(x, y float64) {
 	a.X, a.Y = x, y
-	a.stage.trace("%s goes to (%g, %g)", a.Label(), x, y)
+	a.stage.trace(func(b []byte) []byte {
+		b = appendG(append(a.appendLabel(b), " goes to ("...), x)
+		return append(appendG(append(b, ", "...), y), ')')
+	})
 }
 
 // Say sets the speech balloon, the principal output channel of a Snap!
@@ -76,17 +87,28 @@ func (a *Actor) GotoXY(x, y float64) {
 func (a *Actor) Say(text string) {
 	a.Saying = text
 	if text != "" {
-		a.stage.trace("%s says %q", a.Label(), text)
+		a.stage.trace(func(b []byte) []byte { return strconv.AppendQuote(append(a.appendLabel(b), " says "...), text) })
 	}
 }
 
 // Label renders "Name" for originals and "Name#ID" for clones.
 func (a *Actor) Label() string {
 	if a.IsClone() {
-		return fmt.Sprintf("%s#%d", a.Name, a.ID)
+		return string(a.appendLabel(nil))
 	}
 	return a.Name
 }
+
+func (a *Actor) appendLabel(b []byte) []byte {
+	b = append(b, a.Name...)
+	if a.IsClone() {
+		b = strconv.AppendInt(append(b, '#'), int64(a.ID), 10)
+	}
+	return b
+}
+
+// appendG appends f as fmt's %g writes it.
+func appendG(b []byte, f float64) []byte { return strconv.AppendFloat(b, f, 'g', -1, 64) }
 
 // Stage is the shared world all actors live in.
 type Stage struct {
@@ -112,6 +134,8 @@ type Stage struct {
 	Vars map[string]value.Value
 
 	dropped int
+	// line is the scratch buffer trace lines and snapshots are built in.
+	line []byte
 }
 
 // New creates an empty stage over the given clock.
@@ -151,10 +175,28 @@ func (s *Stage) Reset() {
 func (s *Stage) AddActor(name string, x, y float64) *Actor {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	a := Original(name, x, y)
+	s.place(&a)
+	return &a
+}
+
+// AddActors places each actor of a slab of originals (see Original) in
+// order, as AddActor would one by one: the slab's elements become the
+// stage's actors.
+func (s *Stage) AddActors(slab []Actor) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.actors = slices.Grow(s.actors, len(slab))
+	for i := range slab {
+		s.place(&slab[i])
+	}
+}
+
+// place gives a new actor its ID and puts it on the stage. Under s.mu.
+func (s *Stage) place(a *Actor) {
 	s.nextID++
-	a := &Actor{Name: name, ID: s.nextID, X: x, Y: y, Heading: 90, Visible: true, stage: s}
+	a.ID, a.stage = s.nextID, s
 	s.actors = append(s.actors, a)
-	return a
 }
 
 // Clone spawns a clone of the given actor, copying its visible state — the
@@ -170,7 +212,7 @@ func (s *Stage) Clone(parent *Actor) *Actor {
 		Visible: parent.Visible, stage: s,
 	}
 	s.actors = append(s.actors, c)
-	s.traceLocked("%s is cloned as %s", parent.Label(), c.Label())
+	s.traceLocked(func(b []byte) []byte { return c.appendLabel(append(parent.appendLabel(b), " is cloned as "...)) })
 	return c
 }
 
@@ -181,7 +223,7 @@ func (s *Stage) Remove(a *Actor) {
 	for i, x := range s.actors {
 		if x == a {
 			s.actors = append(s.actors[:i], s.actors[i+1:]...)
-			s.traceLocked("%s is removed", a.Label())
+			s.traceLocked(func(b []byte) []byte { return append(a.appendLabel(b), " is removed"...) })
 			return
 		}
 	}
@@ -222,36 +264,60 @@ func (s *Stage) CloneCount(name string) int {
 }
 
 // Snapshot renders the stage as sorted "label@(x,y) saying" lines, a
-// deterministic text rendering of what Figure 9's screenshots show.
+// deterministic text rendering of what Figure 9's screenshots show. The
+// coordinates are rounded to two decimals and written as %g writes them,
+// except that a coordinate which rounds to zero is 0, never -0, as Snap!
+// and value.Number print it. All lines are rendered into one string.
 func (s *Stage) Snapshot() []string {
+	var ends [64]int // the lines' end offsets, on the stack for most stages
+	at := ends[:0]
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]string, 0, len(s.actors))
+	b := s.line[:0]
 	for _, a := range s.actors {
-		line := fmt.Sprintf("%s@(%g,%g)", a.Label(), round2(a.X), round2(a.Y))
+		b = append(a.appendLabel(b), "@("...)
+		b = append(appendCoord(append(appendCoord(b, a.X), ','), a.Y), ')')
 		if a.Saying != "" {
-			line += fmt.Sprintf(" saying %q", a.Saying)
+			b = strconv.AppendQuote(append(b, " saying "...), a.Saying)
 		}
-		out = append(out, line)
+		at = append(at, len(b))
 	}
-	sort.Strings(out)
+	all := string(b)
+	s.line = b
+	s.mu.Unlock()
+	out := make([]string, len(at))
+	start := 0
+	for i, end := range at {
+		out[i] = all[start:end]
+		start = end
+	}
+	slices.Sort(out)
 	return out
 }
 
-func round2(f float64) float64 { return math.Round(f*100) / 100 }
-
-func (s *Stage) trace(format string, args ...any) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.traceLocked(format, args...)
+// appendCoord appends a coordinate rounded to two decimals.
+func appendCoord(b []byte, f float64) []byte {
+	r := math.Round(f*100) / 100
+	if r == 0 {
+		r = 0 // -0 prints as 0
+	}
+	return appendG(b, r)
 }
 
-func (s *Stage) traceLocked(format string, args ...any) {
+// trace appends one line, "[t=N] " and what fill appends after it.
+func (s *Stage) trace(fill func(b []byte) []byte) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.traceLocked(fill)
+}
+
+func (s *Stage) traceLocked(fill func(b []byte) []byte) {
 	if s.MaxTrace > 0 && len(s.Trace) >= s.MaxTrace {
 		s.dropped++
 		return
 	}
-	s.Trace = append(s.Trace, fmt.Sprintf("[t=%d] ", s.Clock.Now())+fmt.Sprintf(format, args...))
+	b := strconv.AppendInt(append(s.line[:0], "[t="...), s.Clock.Now(), 10)
+	s.line = fill(append(b, "] "...))
+	s.Trace = append(s.Trace, string(s.line))
 }
 
 // TraceDropped reports how many trace lines the MaxTrace bound discarded.

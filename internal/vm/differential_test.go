@@ -13,6 +13,7 @@ import (
 	"repro/internal/blocks"
 	_ "repro/internal/core" // hof, mapReduce, parallel and stage primitives
 	"repro/internal/evo/oracle"
+	"repro/internal/parse"
 )
 
 func rep(b *blocks.Block) *blocks.Script {
@@ -302,6 +303,22 @@ func TestDifferentialMapReduceAsyncValue(t *testing.T) {
 	}
 	if out.Value != "[[0 100] [1 100] [2 100]]" {
 		t.Fatalf("async mapReduce = %s", out.Value)
+	}
+	oracle.AssertSame(t, script)
+}
+
+// TestSnapshotNegativeZero pins the stage snapshot's -0 fix on both
+// tiers: a sprite just left of and below the origin rounds to 0 at two
+// decimals and reads 0, as Snap! and value.Number print it, not -0.
+func TestSnapshotNegativeZero(t *testing.T) {
+	script, err := parse.Script("(goto -0.001 0.001) (forward 0) (goto -0.004 -0.002)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bytecode := range []bool{false, true} {
+		if out, _ := oracle.Run(script, bytecode); out.Stage != "__main__@(0,0)" {
+			t.Errorf("bytecode=%v: stage %q, want __main__@(0,0)", bytecode, out.Stage)
+		}
 	}
 	oracle.AssertSame(t, script)
 }

@@ -38,7 +38,8 @@ type chunkLoop struct {
 	resolve func(err error)
 
 	// Every claim writes next, so it keeps off the cache line of the
-	// fields above, which every chunk reads.
+	// fields above, which every chunk reads. chunks is written once per
+	// executor, as it stops: each executor counts its own chunks.
 	_       [64]byte
 	next    atomic.Int64 // Dynamic's claim counter
 	pending atomic.Int32 // executors started and not yet stopped
@@ -86,7 +87,8 @@ func (l *chunkLoop) spawn(worker int) {
 }
 
 func (l *chunkLoop) executor(worker int) {
-	defer l.exit()
+	var ran int64 // chunks run, counted only while tracing
+	defer func() { l.exit(ran) }()
 	switch l.assign {
 	case Dynamic:
 		// pending counts the enlisted executor before it is submitted,
@@ -99,20 +101,20 @@ func (l *chunkLoop) executor(worker int) {
 			}
 			l.spawn(worker + 1)
 		}
-		for l.claim(worker) {
+		for l.claim(worker, &ran) {
 		}
 	case Block:
 		lo := worker * l.grain
-		l.run(worker, lo, min(lo+l.grain, l.n))
+		l.run(worker, lo, min(lo+l.grain, l.n), &ran)
 	case Interleaved:
-		for i := worker; i < l.n && l.run(worker, i, i+1); i += l.w {
+		for i := worker; i < l.n && l.run(worker, i, i+1, &ran); i += l.w {
 		}
 	}
 }
 
 // claim takes the next grain-sized chunk off the shared counter and runs
 // it; false means stop claiming.
-func (l *chunkLoop) claim(worker int) bool {
+func (l *chunkLoop) claim(worker int, ran *int64) bool {
 	lo := int(l.next.Add(int64(l.grain))) - l.grain
 	if lo >= l.n {
 		if l.tracing {
@@ -123,15 +125,16 @@ func (l *chunkLoop) claim(worker int) bool {
 	if l.tracing {
 		obs.PoolClaims.Inc()
 	}
-	return l.run(worker, lo, min(lo+l.grain, l.n))
+	return l.run(worker, lo, min(lo+l.grain, l.n), ran)
 }
 
-// run hands [lo, hi) to fn unless the loop was canceled; false means the
-// executor stops. A failing chunk stops at its first failing element,
-// chunks are disjoint, and every chunk below a claimed one was claimed
-// too, so keeping the lowest failing chunk's error reports the lowest
-// failing element whatever the worker count or timing.
-func (l *chunkLoop) run(worker, lo, hi int) bool {
+// run hands [lo, hi) to fn unless the loop was canceled, counting the
+// chunk in ran while tracing; false means the executor stops. A failing
+// chunk stops at its first failing element, chunks are disjoint, and
+// every chunk below a claimed one was claimed too, so keeping the lowest
+// failing chunk's error reports the lowest failing element whatever the
+// worker count or timing.
+func (l *chunkLoop) run(worker, lo, hi int, ran *int64) bool {
 	if l.canceled != nil && l.canceled() {
 		l.stopped.Store(true)
 		return false
@@ -142,7 +145,7 @@ func (l *chunkLoop) run(worker, lo, hi int) bool {
 		err = l.call(worker, lo, hi)
 		obs.PoolChunkSeconds.Observe(time.Since(start).Seconds())
 		obs.PoolChunks.Inc()
-		l.chunks.Add(1)
+		*ran++
 	} else {
 		err = l.call(worker, lo, hi)
 	}
@@ -173,10 +176,13 @@ func (l *chunkLoop) call(worker, lo, hi int) (err error) {
 	return l.fn(worker, lo, hi)
 }
 
-// exit retires an executor; the last one resolves the loop. pending's
-// final decrement orders every executor's writes before outcome reads
-// them.
-func (l *chunkLoop) exit() {
+// exit retires an executor, adding the chunks it ran to the loop's
+// count; the last one resolves the loop. pending's final decrement orders every executor's writes before
+// outcome reads them.
+func (l *chunkLoop) exit(chunks int64) {
+	if chunks > 0 {
+		l.chunks.Add(chunks)
+	}
 	if l.pending.Add(-1) == 0 {
 		l.resolve(l.outcome())
 	}
